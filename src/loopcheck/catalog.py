@@ -104,6 +104,8 @@ def parse_loop_file(text: str) -> LoopTable:
         n = int(parts[1])
     except ValueError:
         raise LoopFileError(f"bad order {parts[1]!r}", lineno) from None
+    if n < 1:
+        raise LoopFileError("a loop needs at least one element", lineno)
     name = parts[2] if len(parts) > 2 else None
     rows = []
     if len(lines) - 1 != n:

@@ -24,6 +24,7 @@ first appearance) and reports the first counterexample, if any.
 """
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -33,6 +34,10 @@ from typing import Iterator, Mapping, Union
 from .table import LoopTable, LoopError, NoTwoSidedInverse, NotAutomorphicWarning
 
 MAX_EXPONENT = 16
+# Deepest parenthesis nesting and term height (after macro expansion) that
+# parse; well below the interpreter's recursion limit, since the parser,
+# the printer and the evaluators all recurse over terms.
+MAX_NESTING = 100
 DEFAULT_VARIABLE_CAP = 4
 
 
@@ -225,6 +230,12 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.macros = macros
+        self.depth = 0  # open parentheses and macro argument lists
+
+    def grow(self, height: int, pos: int) -> int:
+        if height > MAX_NESTING:
+            raise ParseError("nesting too deep", pos)
+        return height
 
     def peek(self) -> str:
         return self.tokens[self.i][0]
@@ -275,51 +286,65 @@ class _Parser:
         return stmt
 
     def equation(self) -> Equation:
-        lhs = self.term()
+        lhs, _ = self.term()
         self.expect("EQ")
-        rhs = self.term()
+        rhs, _ = self.term()
         return Equation(lhs, rhs)
 
-    def term(self) -> Term:
-        node = self.multerm()
+    # Each term method returns the term and its height after macro expansion.
+
+    def term(self) -> tuple[Term, int]:
+        node, height = self.multerm()
         while self.peek() in ("BSLASH", "SLASH"):
-            kind, _, _ = self.next()
-            rhs = self.multerm()
+            kind, _, pos = self.next()
+            rhs, rheight = self.multerm()
             node = LDiv(node, rhs) if kind == "BSLASH" else RDiv(node, rhs)
-        return node
+            height = self.grow(max(height, rheight) + 1, pos)
+        return node, height
 
-    def multerm(self) -> Term:
-        node = self.postfix()
+    def multerm(self) -> tuple[Term, int]:
+        node, height = self.postfix()
         while self.peek() == "STAR":
-            self.next()
-            node = Mul(node, self.postfix())
-        return node
+            _, _, pos = self.next()
+            rhs, rheight = self.postfix()
+            node = Mul(node, rhs)
+            height = self.grow(max(height, rheight) + 1, pos)
+        return node, height
 
-    def postfix(self) -> Term:
-        node = self.primary()
+    def postfix(self) -> tuple[Term, int]:
+        node, height = self.primary()
         while self.peek() == "POW":
-            _, value, _ = self.next()
+            _, value, pos = self.next()
             node = Inv(node) if value == -1 else Pow(node, value)
-        return node
+            height = self.grow(height + 1, pos)
+        return node, height
 
-    def primary(self) -> Term:
+    def nested_term(self, pos: int) -> tuple[Term, int]:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError("nesting too deep", pos)
+        out = self.term()
+        self.depth -= 1
+        return out
+
+    def primary(self) -> tuple[Term, int]:
         kind, value, pos = self.next()
         if kind == "INT":
             if value != 1:
                 raise ParseError("only the constant 1 is a valid literal", pos)
-            return One()
+            return One(), 0
         if kind == "LPAREN":
-            node = self.term()
+            out = self.nested_term(pos)
             self.expect("RPAREN")
-            return node
+            return out
         if kind == "NAME":
             if self.peek() != "LPAREN":
-                return Var(value)
+                return Var(value), 0
             self.next()
-            args = [self.term()]
+            args = [self.nested_term(pos)]
             while self.peek() == "COMMA":
                 self.next()
-                args.append(self.term())
+                args.append(self.nested_term(pos))
             self.expect("RPAREN")
             macro = self.macros.get(value)
             if macro is None:
@@ -330,22 +355,39 @@ class _Parser:
                     f"got {len(args)}",
                     pos,
                 )
-            return MacroCall(value, tuple(args))
+            height = _height(macro.body) + max(h for _, h in args)
+            return MacroCall(value, tuple(t for t, _ in args)), self.grow(height, pos)
         raise ParseError(
             f"unexpected {value!r}", pos, ("1", "name", "(")
         )
 
 
+def _children(term: Term) -> tuple[Term, ...]:
+    if isinstance(term, (Mul, LDiv, RDiv)):
+        return (term.left, term.right)
+    if isinstance(term, (Inv, Pow)):
+        return (term.arg,)
+    if isinstance(term, MacroCall):
+        return term.args
+    return ()
+
+
 def _walk(term: Term) -> Iterator[Term]:
     yield term
-    if isinstance(term, (Mul, LDiv, RDiv)):
-        yield from _walk(term.left)
-        yield from _walk(term.right)
-    elif isinstance(term, (Inv, Pow)):
-        yield from _walk(term.arg)
-    elif isinstance(term, MacroCall):
-        for arg in term.args:
-            yield from _walk(arg)
+    for child in _children(term):
+        yield from _walk(child)
+
+
+def _height(term: Term, memo: dict | None = None) -> int:
+    """Longest path from a macro-free `term` down to a variable or 1.
+
+    Expanded macro bodies share the argument terms they substitute, so
+    heights are memoized per node to stay linear in the shared size.
+    """
+    memo = {} if memo is None else memo
+    if id(term) not in memo:
+        memo[id(term)] = max((_height(c, memo) + 1 for c in _children(term)), default=0)
+    return memo[id(term)]
 
 
 def _free_variables(stmt: IdentityStatement) -> tuple[str, ...]:
@@ -401,7 +443,7 @@ def parse_macro(text: str, macros: Mapping[str, MacroDef] | None = None) -> Macr
         params.append(parser.expect("NAME")[1])
     parser.expect("RPAREN")
     parser.expect("ASSIGN")
-    body = parser.term()
+    body, _ = parser.term()
     parser.expect("EOF")
     if len(set(params)) != len(params):
         raise ParseError(f"duplicate parameter in macro {mname!r}", pos)
@@ -529,7 +571,11 @@ def _substitute(body: Term, args: Mapping[str, Term]) -> Term:
 
 
 def eval_term(L: LoopTable, term: Term, env: Mapping[str, int]) -> int:
-    """Evaluate a macro-free term under an assignment of elements to variables."""
+    """Evaluate a macro-free term under one assignment of elements to variables.
+
+    This tree walker defines the semantics; `evaluate` compiles terms instead
+    and is tested against it.
+    """
     if isinstance(term, Var):
         return env[term.name]
     if isinstance(term, One):
@@ -551,6 +597,151 @@ def eval_term(L: LoopTable, term: Term, env: Mapping[str, int]) -> int:
     raise TypeError(f"not an evaluable term: {term!r}")
 
 
+class _Poison(Exception):
+    """A block asked for the inverse of `element`, which has none."""
+
+    def __init__(self, element: int):
+        self.element = element
+
+
+def _binary(rows, i: int, j: int):
+    def step(vals):
+        return [rows[a][b] for a, b in zip(vals[i], vals[j])]
+
+    return step
+
+
+def _unary(table: tuple[int, ...], i: int):
+    def step(vals):
+        return [table[a] for a in vals[i]]
+
+    def partial_step(vals):
+        out = [table[a] for a in vals[i]]
+        if -1 in out:
+            raise _Poison(vals[i][out.index(-1)])
+        return out
+
+    return partial_step if -1 in table else step
+
+
+class _Program:
+    """A statement compiled for one loop, evaluated a block at a time.
+
+    A block holds every assignment of the last (at most two) variables for
+    one assignment of the leading ones, so it has at most n^2 assignments.
+    Every slot holds the values of one subterm over a block: first the
+    variables, then the constant 1, then one slot per distinct compound
+    subterm.  `steps` fill the compound slots in the tree walker's order
+    (operands before their parent, the divisor of ``/`` first), which is
+    also the order of their table lookup.
+    """
+
+    TABLES = {Mul: "table", LDiv: "ldiv_table", RDiv: "rdiv_table"}
+
+    def __init__(self, L: LoopTable, stmt: IdentityStatement):
+        self.loop = L
+        names = stmt.variables
+        self.slots: dict = {Var(v): i for i, v in enumerate(names)}
+        self.slots[One()] = len(names)
+        self.steps: dict[int, object] = {}
+
+        def side(term: Term) -> tuple[int, list]:
+            # its slot and the steps its value needs, in the tree walker's order
+            needs: dict[int, object] = {}
+            return self._compile(expand_term(term, stmt.macros), needs), list(needs.items())
+
+        self.hyps = [(side(eq.lhs), side(eq.rhs)) for eq in stmt.hypotheses]
+        self.concl = [(side(eq.lhs), side(eq.rhs)) for eq in stmt.conclusion]
+        n = L.order
+        tail = min(len(names), 2)
+        self.leading = len(names) - tail
+        self.size = n**tail
+        self.columns = [[i // n**p % n for i in range(self.size)] for p in reversed(range(tail))]
+
+    def _compile(self, term: Term, needs: dict) -> int:
+        if isinstance(term, (Var, One)):
+            return self.slots[term]
+        if isinstance(term, RDiv):
+            operands = (term.right, term.left)
+        elif isinstance(term, (Mul, LDiv)):
+            operands = (term.left, term.right)
+        else:
+            operands = (term.arg,)
+        key = (type(term), *(self._compile(t, needs) for t in operands))
+        if isinstance(term, Pow):
+            key += (term.exponent,)
+        slot = self.slots.get(key)
+        if slot is None:
+            slot = self.slots[key] = len(self.slots)
+            L = self.loop
+            if isinstance(term, Inv):
+                self.steps[slot] = _unary(L.inverse_table, key[1])
+            elif isinstance(term, Pow):
+                self.steps[slot] = _unary(L.power_table(term.exponent), key[1])
+            else:
+                self.steps[slot] = _binary(getattr(L, self.TABLES[type(term)]), *key[1:])
+        needs.setdefault(slot, self.steps[slot])
+        return slot
+
+    def counterexample(self, prefix: tuple[int, ...]) -> tuple[int, ...] | None:
+        """The first assignment extending `prefix` that falsifies the
+        statement, or None.
+
+        The whole block is evaluated at once.  Should that meet an element
+        without an inverse, possibly where the tree walker would never look,
+        the block is evaluated again one assignment at a time.
+        """
+        try:
+            hit = self._block_failure(prefix)
+        except _Poison:
+            hit = next(
+                (i for i in range(self.size) if self._falsified_at(self._combo(prefix, i))),
+                None,
+            )
+        return None if hit is None else self._combo(prefix, hit)
+
+    def _combo(self, prefix: tuple[int, ...], i: int) -> tuple[int, ...]:
+        return (*prefix, *(col[i] for col in self.columns))
+
+    def _values(self, env: list[list[int]], size: int) -> list:
+        return env + [[self.loop.identity] * size] + [None] * len(self.steps)
+
+    def _block_failure(self, prefix: tuple[int, ...]) -> int | None:
+        size = self.size
+        vals = self._values([[v] * size for v in prefix] + self.columns, size)
+        for slot, step in self.steps.items():
+            vals[slot] = step(vals)
+        concl = [(vals[l], vals[r]) for (l, _), (r, _) in self.concl]
+        if any(lhs == rhs for lhs, rhs in concl):
+            return None
+        ok = [False] * size
+        for lhs, rhs in concl:
+            ok = list(map(operator.or_, ok, map(operator.eq, lhs, rhs)))
+        for (l, _), (r, _) in self.hyps:
+            ok = list(map(operator.or_, ok, map(operator.ne, vals[l], vals[r])))
+        return ok.index(False) if False in ok else None
+
+    def _falsified_at(self, combo: tuple[int, ...]) -> bool:
+        # As the tree walker does: sides left to right, stopping at the first
+        # hypothesis that fails or alternative that holds, so the same
+        # missing inverse surfaces first.
+        vals = self._values([[v] for v in combo], 1)
+
+        def value(side) -> int:
+            slot, needs = side
+            for s, step in needs:
+                if vals[s] is None:
+                    vals[s] = step(vals)
+            return vals[slot][0]
+
+        try:
+            if any(value(lhs) != value(rhs) for lhs, rhs in self.hyps):
+                return False
+            return not any(value(lhs) == value(rhs) for lhs, rhs in self.concl)
+        except _Poison as err:
+            raise InverseUnavailable(err.element, self.loop) from None
+
+
 def evaluate(
     L: LoopTable,
     stmt: IdentityStatement,
@@ -564,6 +755,10 @@ def evaluate(
     conclusion is returned.  Statements built on the inverse middle
     translation are only sound on automorphic loops; pass
     ``automorphic=True`` once that has been verified to silence the warning.
+
+    The statement is compiled once and evaluated in blocks of assignments;
+    the outcome is the tree walker's (`eval_term`): the same first
+    counterexample, or the same `InverseUnavailable`.
     """
     names = stmt.variables
     if len(names) > max_vars:
@@ -583,23 +778,11 @@ def evaluate(
             NotAutomorphicWarning,
             stacklevel=2,
         )
-    hyps = [
-        (expand_term(eq.lhs, stmt.macros), expand_term(eq.rhs, stmt.macros))
-        for eq in stmt.hypotheses
-    ]
-    concl = [
-        (expand_term(eq.lhs, stmt.macros), expand_term(eq.rhs, stmt.macros))
-        for eq in stmt.conclusion
-    ]
-    for combo in product(range(L.order), repeat=len(names)):
-        env = dict(zip(names, combo))
-        if any(
-            eval_term(L, lhs, env) != eval_term(L, rhs, env) for lhs, rhs in hyps
-        ):
-            continue
-        if any(eval_term(L, lhs, env) == eval_term(L, rhs, env) for lhs, rhs in concl):
-            continue
-        return Counterexample(env)
+    program = _Program(L, stmt)
+    for prefix in product(L.elements, repeat=program.leading):
+        combo = program.counterexample(prefix)
+        if combo is not None:
+            return Counterexample(dict(zip(names, combo)))
     return None
 
 

@@ -7,10 +7,9 @@ translations read in the same order as they are written.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
-from .table import LoopTable, is_power_associative
+from .table import LoopError, LoopTable, is_power_associative, per_loop
 
 Perm = tuple[int, ...]
 
@@ -132,7 +131,8 @@ def mlt_group(L: LoopTable, cap: int = DEFAULT_CLOSURE_CAP) -> PermGroup:
 def inn_group(L: LoopTable, cap: int = DEFAULT_CLOSURE_CAP) -> PermGroup:
     grp = group_closure(inner_generators(L), cap=cap)
     e = L.identity
-    assert all(p[e] == e for p in grp.elements), "inner closure moved the identity"
+    if any(p[e] != e for p in grp.elements):
+        raise LoopError("inner closure moved the identity")
     return grp
 
 
@@ -153,7 +153,7 @@ def is_automorphism(L: LoopTable, p: Perm) -> bool:
     return automorphism_violation(L, p) is None
 
 
-@lru_cache(maxsize=None)
+@per_loop
 def automorphic_violation(L: LoopTable) -> tuple[str, tuple[int, int]] | None:
     """First inner generator that is not an automorphism, with its witness pair.
 

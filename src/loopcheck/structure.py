@@ -12,7 +12,7 @@ import random
 import warnings
 from dataclasses import dataclass
 
-from .table import LoopTable, NotAutomorphicWarning
+from .table import LoopError, LoopTable, NotAutomorphicWarning
 from .perms import compose, invert, is_automorphic
 
 
@@ -33,7 +33,7 @@ def subloop_generated(L: LoopTable, S) -> SubloopClosure:
 
     In a finite loop this is automatically a subloop: it contains the
     identity and is closed under both divisions (translations restricted to
-    a finite closed set are bijections).  Both facts are asserted here
+    a finite closed set are bijections).  Both facts are checked here
     rather than engineered, so the construction doubles as a check.
     """
     seeds = frozenset(S)
@@ -51,12 +51,14 @@ def subloop_generated(L: LoopTable, S) -> SubloopClosure:
                 if z not in members:
                     members.add(z)
                     frontier.append(z)
-    assert L.identity in members
-    assert all(
+    if L.identity not in members:
+        raise LoopError("multiplication closure misses the identity")
+    if not all(
         L.ldiv(a, b) in members and L.rdiv(a, b) in members
         for a in members
         for b in members
-    )
+    ):
+        raise LoopError("multiplication closure is not closed under division")
     return SubloopClosure(frozenset(members), seeds)
 
 

@@ -6,7 +6,7 @@ Element ids are 0-based indices into the table; external text formats use
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, wraps
 
 MAX_ORDER = 64
 
@@ -79,11 +79,11 @@ class LoopTable:
 
     def ldiv(self, a: int, b: int) -> int:
         """The unique x with a*x = b."""
-        return _ldiv_table(self)[a][b]
+        return self.ldiv_table[a][b]
 
     def rdiv(self, a: int, b: int) -> int:
         """The unique y with y*a = b."""
-        return _rdiv_table(self)[a][b]
+        return self.rdiv_table[a][b]
 
     def left_translation(self, a: int) -> tuple[int, ...]:
         """The permutation x -> a*x (row a of the table)."""
@@ -94,10 +94,10 @@ class LoopTable:
         return tuple(row[a] for row in self.table)
 
     def has_two_sided_inverse(self, a: int) -> bool:
-        return _inverse_table(self)[a] >= 0
+        return self.inverse_table[a] >= 0
 
     def inverse(self, a: int) -> int:
-        inv = _inverse_table(self)[a]
+        inv = self.inverse_table[a]
         if inv < 0:
             raise NoTwoSidedInverse(
                 a, self.rdiv(a, self.identity), self.ldiv(a, self.identity)
@@ -120,16 +120,115 @@ class LoopTable:
             acc = row_of[acc][a]
         return acc
 
+    def power_table(self, k: int) -> tuple[int, ...]:
+        """``a^k`` for every element a; -1 where k < 0 and a has no
+        two-sided inverse."""
+        tables = self._power_tables
+        if k not in tables:
+            inv = self.inverse_table
+            tables[k] = tuple(
+                -1 if k < 0 and inv[a] < 0 else self.power(a, k) for a in self.elements
+            )
+        return tables[k]
+
     def element_order(self, a: int) -> int:
         """Least k >= 1 with a^k = 1 under left-nested powers."""
-        return _order_table(self)[a]
+        return self.order_table[a]
 
     def sqrt(self, a: int) -> int:
         """The unique square root of a; requires a uniquely 2-divisible loop."""
-        roots = _sqrt_table(self)
+        roots = self.sqrt_table
         if roots is None:
             raise NotUniquely2Divisible(f"squaring is not a bijection on {self!r}")
         return roots[a]
+
+    # Derived tables.  `cached_property` stores each one in the instance
+    # ``__dict__`` on first use, which bypasses the frozen ``__setattr__``
+    # and leaves equality and hashing to the three compared fields.  So a
+    # lookup costs about what ``mul`` costs, and the tables die with the loop.
+
+    @cached_property
+    def ldiv_table(self) -> tuple[tuple[int, ...], ...]:
+        """``ldiv_table[a][b]`` is the x with a*x = b."""
+        n = self.order
+        out = [[0] * n for _ in range(n)]
+        for a, row in enumerate(self.table):
+            for x, b in enumerate(row):
+                out[a][b] = x
+        return tuple(tuple(r) for r in out)
+
+    @cached_property
+    def rdiv_table(self) -> tuple[tuple[int, ...], ...]:
+        """``rdiv_table[a][b]`` is the y with y*a = b."""
+        n = self.order
+        out = [[0] * n for _ in range(n)]
+        for y, row in enumerate(self.table):
+            for a, b in enumerate(row):
+                out[a][b] = y
+        return tuple(tuple(r) for r in out)
+
+    @cached_property
+    def inverse_table(self) -> tuple[int, ...]:
+        """The two-sided inverse of every element; -1 marks elements whose
+        left and right inverses differ."""
+        e = self.identity
+        out = []
+        for a in self.elements:
+            right = self.ldiv(a, e)
+            left = self.rdiv(a, e)
+            out.append(right if left == right else -1)
+        return tuple(out)
+
+    @cached_property
+    def order_table(self) -> tuple[int, ...]:
+        e = self.identity
+        n = self.order
+        out = []
+        for a in self.elements:
+            x, k = a, 1
+            while x != e:
+                x = self.table[x][a]
+                k += 1
+                if k > n:
+                    # Unreachable for a valid loop (right translations are
+                    # bijections, so the left-power orbit always returns to 1).
+                    raise NoFiniteOrder(f"left powers of {a} never reach the identity")
+            out.append(k)
+        return tuple(out)
+
+    @cached_property
+    def sqrt_table(self) -> tuple[int, ...] | None:
+        """The square root of every element, or None when squaring is not a
+        bijection."""
+        squares = squaring_map(self)
+        if len(set(squares)) != self.order:
+            return None
+        out = [0] * self.order
+        for a, sq in enumerate(squares):
+            out[sq] = a
+        return tuple(out)
+
+    @cached_property
+    def _power_tables(self) -> dict[int, tuple[int, ...]]:
+        return {}
+
+
+def per_loop(fn):
+    """Memoize the one-argument function `fn(L)` on the loop instance itself.
+
+    Like `cached_property`, the value lives in the instance ``__dict__``: no
+    global cache keeps loops alive and no lookup re-hashes the table.
+    """
+    key = f"{fn.__module__}.{fn.__qualname__}"
+
+    @wraps(fn)
+    def memoized(L: LoopTable):
+        memo = L.__dict__
+        if key not in memo:
+            memo[key] = fn(L)
+        return memo[key]
+
+    return memoized
 
 
 def make_loop(matrix, name: str | None = None) -> LoopTable:
@@ -167,80 +266,19 @@ def make_loop(matrix, name: str | None = None) -> LoopTable:
     return LoopTable(order=n, table=rows, identity=identity, name=name)
 
 
-@lru_cache(maxsize=None)
-def _ldiv_table(L: LoopTable) -> tuple[tuple[int, ...], ...]:
-    n = L.order
-    out = [[0] * n for _ in range(n)]
-    for a, row in enumerate(L.table):
-        for x, b in enumerate(row):
-            out[a][b] = x
-    return tuple(tuple(r) for r in out)
-
-
-@lru_cache(maxsize=None)
-def _rdiv_table(L: LoopTable) -> tuple[tuple[int, ...], ...]:
-    n = L.order
-    out = [[0] * n for _ in range(n)]
-    for y, row in enumerate(L.table):
-        for a, b in enumerate(row):
-            out[a][b] = y
-    return tuple(tuple(r) for r in out)
-
-
-@lru_cache(maxsize=None)
-def _inverse_table(L: LoopTable) -> tuple[int, ...]:
-    # -1 marks elements whose left and right inverses differ.
-    e = L.identity
-    out = []
-    for a in L.elements:
-        right = L.ldiv(a, e)
-        left = L.rdiv(a, e)
-        out.append(right if left == right else -1)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _order_table(L: LoopTable) -> tuple[int, ...]:
-    e = L.identity
-    n = L.order
-    out = []
-    for a in L.elements:
-        x, k = a, 1
-        while x != e:
-            x = L.table[x][a]
-            k += 1
-            if k > n:
-                # Unreachable for a valid loop (right translations are
-                # bijections, so the left-power orbit always returns to 1).
-                raise NoFiniteOrder(f"left powers of {a} never reach the identity")
-        out.append(k)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _sqrt_table(L: LoopTable) -> tuple[int, ...] | None:
-    squares = squaring_map(L)
-    if len(set(squares)) != L.order:
-        return None
-    out = [0] * L.order
-    for a, sq in enumerate(squares):
-        out[sq] = a
-    return tuple(out)
-
-
 def squaring_map(L: LoopTable) -> tuple[int, ...]:
     return tuple(L.table[a][a] for a in L.elements)
 
 
 def is_uniquely_2_divisible(L: LoopTable) -> bool:
-    return _sqrt_table(L) is not None
+    return L.sqrt_table is not None
 
 
 # ---------------------------------------------------------------------------
 # predicates; each *_violation returns the lexicographically least failing
 # tuple, or None when the property holds
 
-@lru_cache(maxsize=None)
+@per_loop
 def commutativity_violation(L: LoopTable) -> tuple[int, int] | None:
     t = L.table
     for a in L.elements:
@@ -250,7 +288,7 @@ def commutativity_violation(L: LoopTable) -> tuple[int, int] | None:
     return None
 
 
-@lru_cache(maxsize=None)
+@per_loop
 def associativity_violation(L: LoopTable) -> tuple[int, int, int] | None:
     t = L.table
     for a in L.elements:
@@ -262,7 +300,7 @@ def associativity_violation(L: LoopTable) -> tuple[int, int, int] | None:
     return None
 
 
-@lru_cache(maxsize=None)
+@per_loop
 def flexibility_violation(L: LoopTable) -> tuple[int, int] | None:
     t = L.table
     for a in L.elements:
@@ -272,14 +310,14 @@ def flexibility_violation(L: LoopTable) -> tuple[int, int] | None:
     return None
 
 
-@lru_cache(maxsize=None)
+@per_loop
 def aaip_violation(L: LoopTable) -> tuple | None:
     """Violation of (a*b)^-1 = b^-1 * a^-1.
 
     A 1-tuple (a,) flags the least element without a two-sided inverse; a
     pair (a, b) is a genuine violation of the identity.
     """
-    inv = _inverse_table(L)
+    inv = L.inverse_table
     for a in L.elements:
         if inv[a] < 0:
             return (a,)
@@ -291,7 +329,7 @@ def aaip_violation(L: LoopTable) -> tuple | None:
     return None
 
 
-@lru_cache(maxsize=None)
+@per_loop
 def power_associativity_violation(L: LoopTable) -> tuple[int] | None:
     """Least element whose multiplication closure fails to be an abelian group."""
     t = L.table

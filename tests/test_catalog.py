@@ -187,3 +187,9 @@ def test_canonical_key_is_isomorphism_invariant(sigma):
         [[sigma[base.table[inv[i]][inv[j]]] for j in range(6)] for i in range(6)]
     )
     assert canonical_key(relabeled) == canonical_key(base)
+
+
+def test_parse_rejects_order_zero():
+    with pytest.raises(LoopFileError) as exc:
+        parse_loop_file("loop 0\n")
+    assert exc.value.line == 1

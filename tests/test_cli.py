@@ -172,3 +172,19 @@ def test_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["halfiso"])
     assert exc.value.code == 2
+
+
+def test_analyze_order_zero_file(tmp_path, capsys):
+    path = tmp_path / "empty.loop"
+    path.write_text("loop 0\n")
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert "Traceback" not in err
+
+
+def test_identity_check_deep_nesting(tmp_path, capsys):
+    ids = tmp_path / "deep.ids"
+    ids.write_text("(" * 400 + "x" + ")" * 400 + " = x\n")
+    code, _, err = run(capsys, "identity", "check", str(ids), "c3")
+    assert code == 2
+    assert "nesting too deep" in err

@@ -1,4 +1,5 @@
 import warnings
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from loopcheck.identities import (
     Inv,
     InverseUnavailable,
     LDiv,
+    MAX_NESTING,
     MacroCall,
     Mul,
     One,
@@ -31,6 +33,7 @@ from loopcheck.identities import (
     term_to_text,
     _BUILTIN_TEXTS,
 )
+from loopcheck.catalog import generate_loops
 from loopcheck.perms import compose, invert
 from loopcheck.table import NotAutomorphicWarning, cyclic_group
 
@@ -299,3 +302,82 @@ def test_lemma31_a_fails_off_hypothesis(catalog5):
         "n5_004": {"x": 1, "y": 2},
         "n5_005": "no-inverse",
     }
+
+
+def _tree_walk(L, stmt):
+    """Outcome of the reference evaluator: the scalar tree walker over every
+    assignment in lexicographic order, as `evaluate` is specified."""
+    names = stmt.variables
+    sides = [
+        [(expand_term(e.lhs, stmt.macros), expand_term(e.rhs, stmt.macros)) for e in eqs]
+        for eqs in (stmt.hypotheses, stmt.conclusion)
+    ]
+    try:
+        for combo in product(L.elements, repeat=len(names)):
+            env = dict(zip(names, combo))
+            if any(eval_term(L, lhs, env) != eval_term(L, rhs, env) for lhs, rhs in sides[0]):
+                continue
+            if any(eval_term(L, lhs, env) == eval_term(L, rhs, env) for lhs, rhs in sides[1]):
+                continue
+            return env
+    except InverseUnavailable as err:
+        return ("no-inverse", err.element)
+    return "holds"
+
+
+def _compiled(L, stmt):
+    try:
+        cx = evaluate(L, stmt, automorphic=True)
+    except InverseUnavailable as err:
+        return ("no-inverse", err.element)
+    return "holds" if cx is None else cx.assignment
+
+
+ORACLE_TEXTS = (
+    "x * y = y * x => x^-1 * y = y * x^-1",  # hypothesis short-circuits
+    "x = 1 => x^-1 = x",  # ... before an inverse that does not exist
+    "x = x | x^-1 = 1",  # the first alternative decides alone
+    "x * y = y * x & y * z = z * y => (x * z)^-1 = z^-1 * x^-1",
+    r"x = y | x \ y = y^-2",  # two-way disjunction, negative power
+    "x * y = 1 => y / x = x^-1",  # '/' and '^-1' without inverses
+    "x^-1 * y = z => y^-3 = z / x",
+    "x * (y * z) = x * y * z | w^-1 = w",  # four variables: prefix blocks
+    "x * y * z * w = w * (z * (y * x))",
+    "1 = 1",
+    "x^-1 = x",
+)
+
+
+def test_compiled_evaluate_matches_tree_walker(catalog5, star, dot, s3):
+    loops = [e.loop for n in range(1, 5) for e in generate_loops(n)]
+    loops += [e.loop for e in catalog5] + [star, dot, s3]
+    macros = builtin_macros()
+    statements = list(builtin_library()) + [parse_identity(t, macros) for t in ORACLE_TEXTS]
+    seen = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NotAutomorphicWarning)
+        for L in loops:
+            for stmt in statements:
+                want = _tree_walk(L, stmt)
+                assert _compiled(L, stmt) == want, (L.name, statement_to_text(stmt))
+                seen.add(want if isinstance(want, str) else type(want).__name__)
+    assert seen == {"holds", "dict", "tuple"}  # every kind of outcome occurs
+
+
+def test_deep_nesting_is_a_parse_error():
+    for text in (
+        "(" * 400 + "x" + ")" * 400 + " = x",
+        " * ".join(["x"] * 3000) + " = x",
+        "x" + "^2" * 200 + " = x",
+    ):
+        with pytest.raises(ParseError, match="nesting too deep"):
+            parse_identity(text)
+    # macro calls count with the height of their expansion
+    tall = parse_macro("let tall(u) := " + " * ".join(["u"] * 61))
+    with pytest.raises(ParseError, match="nesting too deep"):
+        parse_identity("tall(tall(x)) = x", {"tall": tall})
+    # the deepest accepted statement prints, parses back and evaluates
+    stmt = parse_identity("(" * MAX_NESTING + " * ".join(["x"] * (MAX_NESTING + 1))
+                          + ")" * MAX_NESTING + " = x^2 * x^-1")
+    assert parse_identity(statement_to_text(stmt)).conclusion == stmt.conclusion
+    assert evaluate(cyclic_group(2), stmt) is None

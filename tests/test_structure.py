@@ -191,3 +191,16 @@ def test_twisted_conjugation_implies_commuting(catalog6, c7):
                 if L.mul(L.mul(x, y), xi) == L.mul(L.mul(xi, y), x):
                     h = subloop_generated(L, {x, y}).members
                     assert all(L.mul(a, b) == L.mul(b, a) for a in h for b in h)
+
+
+def test_closure_checks_hold_on_small_catalog():
+    from loopcheck.catalog import generate_loops
+    from loopcheck.perms import inn_group
+
+    for n in range(1, 6):
+        for entry in generate_loops(n):
+            L = entry.loop
+            assert all(p[L.identity] == L.identity for p in inn_group(L).elements)
+            for a in L.elements:
+                for b in L.elements:
+                    assert L.identity in subloop_generated(L, {a, b}).members

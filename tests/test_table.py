@@ -202,3 +202,38 @@ def test_cyclic_group_is_addition(n):
     for a in range(n):
         for b in range(n):
             assert L.mul(a, b) == (a + b) % n
+
+
+def test_no_global_cache_keeps_loops_alive():
+    import gc
+    import weakref
+
+    from loopcheck.identities import builtin_library, evaluate
+    from loopcheck.perms import is_automorphic
+
+    L = make_loop([[(i + j) % 5 for j in range(5)] for i in range(5)])
+    L.ldiv(1, 2), L.rdiv(1, 2), L.inverse(3), L.element_order(2), L.sqrt(4)
+    for predicate in (
+        commutativity_violation,
+        associativity_violation,
+        flexibility_violation,
+        aaip_violation,
+        power_associativity_violation,
+        is_uniquely_2_divisible,
+        is_automorphic,
+    ):
+        predicate(L)
+    assert all(evaluate(L, stmt, automorphic=True) is None for stmt in builtin_library())
+    ref = weakref.ref(L)
+    del L
+    gc.collect()
+    assert ref() is None
+
+
+def test_derived_tables_leave_equality_and_hash_alone():
+    L = cyclic_group(6)
+    M = make_loop(L.table)
+    before = hash(M)
+    M.ldiv_table, M.inverse_table, M.power_table(-2), is_commutative(M)
+    assert M == L and hash(M) == before == hash(L)
+    assert L.power_table(-2) == tuple(L.power(a, -2) for a in L.elements)
