@@ -110,12 +110,9 @@ def _cmd_halfiso(args) -> tuple[AnalysisReport, int]:
     if args.audit:
         report.extend(audit_theorem41(Q, R))
         return report, 1 if report.has_findings else 0
-    mode = args.mode
-    if mode == "auto":
-        mode = papercheck._pick_mode(Q, R)
     both_automorphic = is_automorphic(Q) and is_automorphic(R)
     count = 0
-    for f in enumerate_half_isos(Q, R, mode=mode):
+    for f in enumerate_half_isos(Q, R, mode=args.mode):
         count += 1
         if args.enumerate and not args.classify:
             report.add("halfiso-map", loops=names, witness=one_based(f.mapping))
@@ -136,7 +133,7 @@ def _cmd_halfiso(args) -> tuple[AnalysisReport, int]:
             special=cls.is_special,
             gg_triples=one_based(cls.gg_triples),
         )
-    report.add("halfiso-count", loops=names, count=count, mode=mode)
+    report.add("halfiso-count", loops=names, count=count, mode=args.mode)
     return report, 1 if report.has_findings else 0
 
 
@@ -255,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the sampling paths")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for generation and papercheck")
+                        help="worker processes for catalog generation")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="full analysis report for one loop")
@@ -268,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--enumerate", action="store_true")
     p.add_argument("--classify", action="store_true")
     p.add_argument("--audit", action="store_true")
-    p.add_argument("--mode", choices=("auto", "naive", "pruned"), default="auto")
+    p.add_argument("--mode", choices=("naive", "pruned"), default="pruned")
     p.set_defaults(fn=_cmd_halfiso)
 
     p = sub.add_parser("identity", help="identity DSL commands")

@@ -8,7 +8,6 @@ strictly isomorphism-like with y and strictly anti-isomorphism-like with z.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -269,23 +268,17 @@ def enumerate_half_isos(
     naive:  depth-first search over bijections, checking the membership
             constraint on every product whose three participants are
             assigned.  No other knowledge is used; this is the oracle mode.
-    pruned: additionally pins identity to identity, matches element orders,
-            forces f(x^-1) = f(x)^-1, and propagates the two-candidate
-            constraint from each assigned pair into the domain of the (not
-            yet assigned) product.  Sound for power-associative loops; for
-            other loops it falls back to naive with a warning.
+    pruned: additionally pins identity to identity (f(e) = f(e)^2 forces
+            f(e) = e) and propagates the two-candidate constraint from each
+            assigned pair into the domain of the (not yet assigned) product;
+            both are sound in every loop.  When both loops are
+            power-associative, where f commutes with powers, it also matches
+            element orders and forces f(x^-1) = f(x)^-1.
     """
     if Q.order != R.order:
         raise ValueError("half-isomorphisms need equal orders")
     if mode not in ("naive", "pruned"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "pruned" and not (is_power_associative(Q) and is_power_associative(R)):
-        warnings.warn(
-            "order/inverse pruning assumes power-associative loops; "
-            "falling back to naive enumeration",
-            stacklevel=2,
-        )
-        mode = "naive"
     yield from _enumerate(Q, R, mode == "pruned")
 
 
@@ -301,18 +294,16 @@ def _enumerate(Q: LoopTable, R: LoopTable, pruned: bool) -> Iterator[HalfIso]:
         for q in range(n):
             by_product[tq[p][q]].append((p, q))
 
+    domains = [set(range(n)) for _ in range(n)]
+    invq = invr = None
     if pruned:
-        ordq = [Q.element_order(a) for a in range(n)]
-        ordr = [R.element_order(a) for a in range(n)]
-        domains = [
-            {v for v in range(n) if ordr[v] == ordq[a]} for a in range(n)
-        ]
         domains[Q.identity] = {R.identity}
-        invq = [Q.inverse(a) for a in range(n)]
-        invr = [R.inverse(a) for a in range(n)]
-    else:
-        domains = [set(range(n)) for _ in range(n)]
-        invq = invr = None
+        if is_power_associative(Q) and is_power_associative(R):
+            ordq, ordr = Q.order_table, R.order_table
+            domains = [
+                {v for v in range(n) if ordr[v] == ordq[a]} for a in range(n)
+            ]
+            invq, invr = Q.inverse_table, R.inverse_table
 
     def feasible(i: int, trail: list[tuple[int, int]]) -> bool:
         # With f[i] just assigned, check every membership constraint that is
@@ -338,7 +329,7 @@ def _enumerate(Q: LoopTable, R: LoopTable, pruned: bool) -> Iterator[HalfIso]:
                         return False
                 if p == q:
                     break
-        if pruned:
+        if invq is not None:
             j = invq[i]
             if f[j] < 0:
                 dom = domains[j]
@@ -349,7 +340,7 @@ def _enumerate(Q: LoopTable, R: LoopTable, pruned: bool) -> Iterator[HalfIso]:
                         trail.append((j, v))
                 if not dom:
                     return False
-        else:
+        elif not pruned:
             # products of earlier pairs that land on i become checkable now
             for p, q in by_product[i]:
                 if p <= i and q <= i and (fp := f[p]) >= 0 and (fq := f[q]) >= 0:

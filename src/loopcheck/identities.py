@@ -38,6 +38,11 @@ MAX_EXPONENT = 16
 # parse; well below the interpreter's recursion limit, since the parser,
 # the printer and the evaluators all recurse over terms.
 MAX_NESTING = 100
+# Most nodes a term may have after macro expansion.  Expansion, compilation
+# and the tree walker visit every node of the expanded tree, and each macro
+# nesting level can square that count, so a short file could otherwise ask
+# for billions of nodes.  The largest builtin statement has 25 nodes.
+MAX_TERM_SIZE = 10_000
 DEFAULT_VARIABLE_CAP = 4
 
 
@@ -169,6 +174,13 @@ _SINGLE = {
 }
 
 
+def _integer(digits: str, pos: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # beyond the interpreter's limit on digits
+        raise ParseError("integer too long", pos) from None
+
+
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     out = []
     i, n = 0, len(text)
@@ -184,22 +196,22 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
                 j += 1
             out.append(("NAME", text[i:j], i))
             i = j
-        elif c.isdigit():
+        elif c.isdecimal():
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            out.append(("INT", int(text[i:j]), i))
+            out.append(("INT", _integer(text[i:j], i), i))
             i = j
         elif c == "^":
             j = i + 1
             if j < n and text[j] == "-":
                 j += 1
             k = j
-            while k < n and text[k].isdigit():
+            while k < n and text[k].isdecimal():
                 k += 1
             if k == j:
                 raise ParseError("malformed exponent", i, ("integer",))
-            value = int(text[i + 1 : k])
+            value = _integer(text[i + 1 : k], i)
             if abs(value) > MAX_EXPONENT:
                 raise ParseError(f"exponent {value} out of range", i)
             out.append(("POW", value, i))
@@ -232,10 +244,12 @@ class _Parser:
         self.macros = macros
         self.depth = 0  # open parentheses and macro argument lists
 
-    def grow(self, height: int, pos: int) -> int:
+    def grow(self, height: int, size: int, pos: int) -> tuple[int, int]:
         if height > MAX_NESTING:
             raise ParseError("nesting too deep", pos)
-        return height
+        if size > MAX_TERM_SIZE:
+            raise ParseError("term too large", pos)
+        return height, size
 
     def peek(self) -> str:
         return self.tokens[self.i][0]
@@ -286,40 +300,41 @@ class _Parser:
         return stmt
 
     def equation(self) -> Equation:
-        lhs, _ = self.term()
+        lhs, _, _ = self.term()
         self.expect("EQ")
-        rhs, _ = self.term()
+        rhs, _, _ = self.term()
         return Equation(lhs, rhs)
 
-    # Each term method returns the term and its height after macro expansion.
+    # Each term method returns the term with its height and node count after
+    # macro expansion; for macro calls both are upper bounds.
 
-    def term(self) -> tuple[Term, int]:
-        node, height = self.multerm()
+    def term(self) -> tuple[Term, int, int]:
+        node, height, size = self.multerm()
         while self.peek() in ("BSLASH", "SLASH"):
             kind, _, pos = self.next()
-            rhs, rheight = self.multerm()
+            rhs, rheight, rsize = self.multerm()
             node = LDiv(node, rhs) if kind == "BSLASH" else RDiv(node, rhs)
-            height = self.grow(max(height, rheight) + 1, pos)
-        return node, height
+            height, size = self.grow(max(height, rheight) + 1, size + rsize + 1, pos)
+        return node, height, size
 
-    def multerm(self) -> tuple[Term, int]:
-        node, height = self.postfix()
+    def multerm(self) -> tuple[Term, int, int]:
+        node, height, size = self.postfix()
         while self.peek() == "STAR":
             _, _, pos = self.next()
-            rhs, rheight = self.postfix()
+            rhs, rheight, rsize = self.postfix()
             node = Mul(node, rhs)
-            height = self.grow(max(height, rheight) + 1, pos)
-        return node, height
+            height, size = self.grow(max(height, rheight) + 1, size + rsize + 1, pos)
+        return node, height, size
 
-    def postfix(self) -> tuple[Term, int]:
-        node, height = self.primary()
+    def postfix(self) -> tuple[Term, int, int]:
+        node, height, size = self.primary()
         while self.peek() == "POW":
             _, value, pos = self.next()
             node = Inv(node) if value == -1 else Pow(node, value)
-            height = self.grow(height + 1, pos)
-        return node, height
+            height, size = self.grow(height + 1, size + 1, pos)
+        return node, height, size
 
-    def nested_term(self, pos: int) -> tuple[Term, int]:
+    def nested_term(self, pos: int) -> tuple[Term, int, int]:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ParseError("nesting too deep", pos)
@@ -327,19 +342,19 @@ class _Parser:
         self.depth -= 1
         return out
 
-    def primary(self) -> tuple[Term, int]:
+    def primary(self) -> tuple[Term, int, int]:
         kind, value, pos = self.next()
         if kind == "INT":
             if value != 1:
                 raise ParseError("only the constant 1 is a valid literal", pos)
-            return One(), 0
+            return One(), 0, 1
         if kind == "LPAREN":
             out = self.nested_term(pos)
             self.expect("RPAREN")
             return out
         if kind == "NAME":
             if self.peek() != "LPAREN":
-                return Var(value), 0
+                return Var(value), 0, 1
             self.next()
             args = [self.nested_term(pos)]
             while self.peek() == "COMMA":
@@ -355,8 +370,12 @@ class _Parser:
                     f"got {len(args)}",
                     pos,
                 )
-            height = _height(macro.body) + max(h for _, h in args)
-            return MacroCall(value, tuple(t for t, _ in args)), self.grow(height, pos)
+            # every leaf of the body becomes at most the largest argument
+            height, size = _shape(macro.body)
+            height += max(h for _, h, _ in args)
+            size *= max(s for _, _, s in args)
+            call = MacroCall(value, tuple(t for t, _, _ in args))
+            return (call, *self.grow(height, size, pos))
         raise ParseError(
             f"unexpected {value!r}", pos, ("1", "name", "(")
         )
@@ -378,15 +397,17 @@ def _walk(term: Term) -> Iterator[Term]:
         yield from _walk(child)
 
 
-def _height(term: Term, memo: dict | None = None) -> int:
-    """Longest path from a macro-free `term` down to a variable or 1.
+def _shape(term: Term, memo: dict | None = None) -> tuple[int, int]:
+    """Height and node count of a macro-free `term` read as a tree.
 
-    Expanded macro bodies share the argument terms they substitute, so
-    heights are memoized per node to stay linear in the shared size.
+    Expanded macro bodies share the argument terms they substitute, so both
+    are memoized per node to stay linear in the shared size.
     """
     memo = {} if memo is None else memo
     if id(term) not in memo:
-        memo[id(term)] = max((_height(c, memo) + 1 for c in _children(term)), default=0)
+        shapes = [_shape(c, memo) for c in _children(term)]
+        height = max((h + 1 for h, _ in shapes), default=0)
+        memo[id(term)] = height, 1 + sum(s for _, s in shapes)
     return memo[id(term)]
 
 
@@ -443,7 +464,7 @@ def parse_macro(text: str, macros: Mapping[str, MacroDef] | None = None) -> Macr
         params.append(parser.expect("NAME")[1])
     parser.expect("RPAREN")
     parser.expect("ASSIGN")
-    body, _ = parser.term()
+    body, _, _ = parser.term()
     parser.expect("EOF")
     if len(set(params)) != len(params):
         raise ParseError(f"duplicate parameter in macro {mname!r}", pos)

@@ -8,8 +8,6 @@ and the ``papercheck`` CLI subcommand both call into this module.
 from __future__ import annotations
 
 import time
-import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
@@ -31,7 +29,6 @@ from .identities import builtin_library, evaluate
 from .report import AnalysisReport, one_based
 from .structure import co1_violation, satisfies_co1, theorem31_violation
 from .table import (
-    LoopTable,
     is_power_associative,
     is_uniquely_2_divisible,
     make_loop,
@@ -45,7 +42,6 @@ ORACLE_ORDER_CAP = 5
 class SuiteContext:
     max_order: int = 6
     seed: int = 0
-    jobs: int = 1
     generated: dict[int, list[CatalogEntry]] = field(default_factory=dict)
     builtins: list[CatalogEntry] = field(default_factory=list)
 
@@ -68,15 +64,11 @@ class CriterionResult:
 
 
 def build_context(max_order: int = 6, seed: int = 0, jobs: int = 1) -> SuiteContext:
-    ctx = SuiteContext(max_order=max_order, seed=seed, jobs=jobs)
+    ctx = SuiteContext(max_order=max_order, seed=seed)
     for n in range(1, min(max_order, cat.GENERATION_SOFT_CAP) + 1):
         ctx.generated[n] = cat.generate_loops(n, jobs=jobs)
     ctx.builtins = list(cat.builtin_loops())
     return ctx
-
-
-def _pick_mode(Q: LoopTable, R: LoopTable) -> str:
-    return "pruned" if is_power_associative(Q) and is_power_associative(R) else "naive"
 
 
 def _suite_pairs(ctx: SuiteContext) -> list[tuple[CatalogEntry, CatalogEntry]]:
@@ -284,20 +276,11 @@ def criterion_4(ctx: SuiteContext) -> AnalysisReport:
 # ---------------------------------------------------------------------------
 # criterion 5: triviality audit on odd-order automorphic pairs
 
-def _audit_worker(pair: tuple[CatalogEntry, CatalogEntry]) -> AnalysisReport:
-    return audit_theorem41(pair[0].loop, pair[1].loop)
-
-
 def criterion_5(ctx: SuiteContext) -> AnalysisReport:
     report = AnalysisReport()
     pairs = _odd_audit_pairs(ctx)
-    if ctx.jobs > 1:
-        with ProcessPoolExecutor(max_workers=ctx.jobs) as ex:
-            sub_reports = list(ex.map(_audit_worker, pairs))
-    else:
-        sub_reports = [_audit_worker(p) for p in pairs]
-    for sub in sub_reports:
-        for rec in sub.records:
+    for a, b in pairs:
+        for rec in audit_theorem41(a.loop, b.loop).records:
             if rec.level != "info":
                 report.records.append(rec)
     report.add("odd-audits-run", anchor="theorem41", pairs=len(pairs))
@@ -311,7 +294,7 @@ def criterion_6(ctx: SuiteContext) -> AnalysisReport:
     report = AnalysisReport()
     maps = 0
     for a, b in _suite_pairs(ctx):
-        for f in enumerate_half_isos(a.loop, b.loop, _pick_mode(a.loop, b.loop)):
+        for f in enumerate_half_isos(a.loop, b.loop):
             maps += 1
             crits = speciality_criteria(f)
             if len(set(crits)) != 1:
@@ -356,9 +339,7 @@ def criterion_8(ctx: SuiteContext) -> AnalysisReport:
     pairs = _oracle_pairs(ctx)
     for a, b in pairs:
         naive = [f.mapping for f in enumerate_half_isos(a.loop, b.loop, "naive")]
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", message="order/inverse pruning")
-            pruned = [f.mapping for f in enumerate_half_isos(a.loop, b.loop, "pruned")]
+        pruned = [f.mapping for f in enumerate_half_isos(a.loop, b.loop, "pruned")]
         if naive != pruned:
             report.add(
                 "enumeration-mode-mismatch",

@@ -12,7 +12,7 @@ import random
 import warnings
 from dataclasses import dataclass
 
-from .table import LoopError, LoopTable, NotAutomorphicWarning
+from .table import LoopError, LoopTable, NotAutomorphicWarning, multiplication_closure
 from .perms import compose, invert, is_automorphic
 
 
@@ -41,16 +41,7 @@ def subloop_generated(L: LoopTable, S) -> SubloopClosure:
         raise ValueError("subloop_generated needs a nonempty generating set")
     if any(not 0 <= a < L.order for a in seeds):
         raise ValueError("generating set contains invalid element ids")
-    t = L.table
-    members = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        x = frontier.pop()
-        for y in tuple(members):
-            for z in (t[x][y], t[y][x]):
-                if z not in members:
-                    members.add(z)
-                    frontier.append(z)
+    members = multiplication_closure(L, seeds)
     if L.identity not in members:
         raise LoopError("multiplication closure misses the identity")
     if not all(

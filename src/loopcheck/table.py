@@ -329,25 +329,37 @@ def aaip_violation(L: LoopTable) -> tuple | None:
     return None
 
 
+def multiplication_closure(L: LoopTable, seeds) -> set[int]:
+    """The least subset of L containing `seeds` and closed under products."""
+    t = L.table
+    closed = set(seeds)
+    frontier = list(closed)
+    while frontier:
+        x = frontier.pop()
+        for y in tuple(closed):
+            for z in (t[x][y], t[y][x]):
+                if z not in closed:
+                    closed.add(z)
+                    frontier.append(z)
+    return closed
+
+
 @per_loop
 def power_associativity_violation(L: LoopTable) -> tuple[int] | None:
     """Least element whose multiplication closure fails to be an abelian group."""
     t = L.table
+    # An element inside a closure that passed generates a subset of it,
+    # which is commutative and associative too, so it needs no check.
+    passed: set[int] = set()
     for a in L.elements:
-        closed = {a}
-        frontier = [a]
-        while frontier:
-            x = frontier.pop()
-            for y in tuple(closed):
-                for z in (t[x][y], t[y][x]):
-                    if z not in closed:
-                        closed.add(z)
-                        frontier.append(z)
-        h = sorted(closed)
+        if a in passed:
+            continue
+        h = sorted(multiplication_closure(L, (a,)))
         if any(t[x][y] != t[y][x] for x in h for y in h):
             return (a,)
         if any(t[t[x][y]][z] != t[x][t[y][z]] for x in h for y in h for z in h):
             return (a,)
+        passed.update(h)
     return None
 
 

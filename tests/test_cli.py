@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -188,3 +189,23 @@ def test_identity_check_deep_nesting(tmp_path, capsys):
     code, _, err = run(capsys, "identity", "check", str(ids), "c3")
     assert code == 2
     assert "nesting too deep" in err
+
+
+def macro_chain(levels):
+    # each level squares the expanded size of the level below
+    lines = ["let f0(u) := u * u"]
+    lines += [f"let f{i}(u) := f{i - 1}(f{i - 1}(u))" for i in range(1, levels + 1)]
+    return "\n".join(lines + [f"f{levels}(x) = x"]) + "\n"
+
+
+def test_identity_check_huge_expansion(tmp_path, capsys):
+    ids = tmp_path / "chain.ids"
+    ids.write_text(macro_chain(3))  # 511 nodes expanded; x^256 = x in c3
+    assert run(capsys, "identity", "check", str(ids), "c3")[0] == 0
+    for levels in (5, 6):
+        ids.write_text(macro_chain(levels))
+        start = time.perf_counter()
+        code, _, err = run(capsys, "identity", "check", str(ids), "c3")
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert "term too large" in err

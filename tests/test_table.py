@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from loopcheck.catalog import builtin_loops, generate_loops
 from loopcheck.table import (
     LoopError,
     NoIdentity,
@@ -149,6 +150,27 @@ def test_predicates_on_examples(star, dot):
     assert aaip_violation(dot) == (1,)
     # its generated closure is the whole (non-associative) loop
     assert power_associativity_violation(dot) == (1,)
+
+
+def reference_power_associativity_violation(L):
+    """The least element whose closure, grown by all products until it stops
+    changing, is not commutative and associative; one closure per element."""
+    t = L.table
+    for a in L.elements:
+        closed = {a}
+        while (grown := closed | {t[x][y] for x in closed for y in closed}) != closed:
+            closed = grown
+        if any(t[x][y] != t[y][x] or any(t[t[x][y]][z] != t[x][t[y][z]] for z in closed)
+               for x in closed for y in closed):
+            return (a,)
+    return None
+
+
+def test_power_associativity_matches_reference():
+    catalog = [e.loop for n in range(1, 7) for e in generate_loops(n)]
+    for L in catalog + [e.loop for e in builtin_loops()]:
+        expected = reference_power_associativity_violation(L)
+        assert power_associativity_violation(L) == expected, L
 
 
 def test_aaip_on_group(s3):
