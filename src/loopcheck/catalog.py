@@ -11,7 +11,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import islice, permutations
 from typing import Iterator
 
 from .table import (
@@ -130,7 +130,15 @@ def parse_loop_file(text: str) -> LoopTable:
 
 
 def write_loop_file(L: LoopTable) -> str:
-    header = f"loop {L.order}" + (f" {L.name}" if L.name else "")
+    """The loop file text of L; raises `LoopError` for a name that would not
+    read back: one holding ``#`` or a line break, with surrounding
+    whitespace, or empty."""
+    name = L.name
+    if name is not None and (
+        "#" in name or name.splitlines() != [name] or name != name.strip()
+    ):
+        raise LoopError(f"loop name {name!r} cannot be written to a loop file")
+    header = f"loop {L.order}" + (f" {name}" if name else "")
     rows = [" ".join(str(v + 1) for v in row) for row in L.table]
     return "\n".join([header, *rows]) + "\n"
 
@@ -338,12 +346,13 @@ def reduced_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     yield from fill(0)
 
 
-def _canonical_key_batch(tables) -> list[tuple[int, ...]]:
-    out = []
-    for table in tables:
-        rows = _canonical_rows(table, 0)
-        out.append(tuple(v for row in rows for v in row))
-    return out
+def _shard_keys(n: int, shard: int, jobs: int) -> set[tuple[int, ...]]:
+    """Canonical keys of every `jobs`-th reduced table of order n, starting
+    at index `shard`; the tables stream, so memory holds only the keys."""
+    keys = set()
+    for table in islice(reduced_tables(n), shard, None, jobs):
+        keys.add(tuple(v for row in _canonical_rows(table, 0) for v in row))
+    return keys
 
 
 @lru_cache(maxsize=None)
@@ -358,18 +367,14 @@ def _generated_base(n: int, jobs: int = 1) -> tuple[LoopTable, ...]:
             "tables; expect a long run",
             stacklevel=2,
         )
-    seen: set[tuple[int, ...]] = set()
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        tables = list(reduced_tables(n))
-        chunks = [tables[i::jobs] for i in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            for keys in ex.map(_canonical_key_batch, chunks):
-                seen.update(keys)
+            shards = ex.map(_shard_keys, [n] * jobs, range(jobs), [jobs] * jobs)
+            seen = set().union(*shards)
     else:
-        for table in reduced_tables(n):
-            seen.update(_canonical_key_batch((table,)))
+        seen = _shard_keys(n, 0, 1)
     loops = []
     for index, key in enumerate(sorted(seen), start=1):
         rows = tuple(tuple(key[i * n : (i + 1) * n]) for i in range(n))

@@ -9,7 +9,7 @@ strictly isomorphism-like with y and strictly anti-isomorphism-like with z.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .table import LoopTable, LoopError, is_flexible, is_power_associative
 from .perms import Perm, compose, invert, is_automorphic
@@ -85,7 +85,10 @@ def identity_half_iso(Q: LoopTable, R: LoopTable) -> HalfIso:
     return make_half_iso(Q, R, range(Q.order))
 
 
-def classify(f: HalfIso, gg_cap: int = 10) -> Classification:
+GG_CAP = 10
+
+
+def classify(f: HalfIso) -> Classification:
     """Branch survey of a half-isomorphism.
 
     A pair takes the first branch when f(a*b) = f(a)f(b) and the second when
@@ -95,7 +98,7 @@ def classify(f: HalfIso, gg_cap: int = 10) -> Classification:
     two branches coincide on commuting images).  Speciality is decided by
     the commuting-pairs criterion; `speciality_criteria` exposes the other
     two equivalent formulations for cross-validation.  GG-triples are
-    collected in lexicographic order up to `gg_cap`.
+    collected in lexicographic order, at most `GG_CAP` of them.
     """
     Q, R, m = f.source, f.target, f.mapping
     tq, tr = Q.table, R.table
@@ -131,20 +134,14 @@ def classify(f: HalfIso, gg_cap: int = 10) -> Classification:
                 ys.append(y)
             elif v == sw:
                 zs.append(y)
-        for y in ys:
-            for z in zs:
-                gg.append((x, y, z))
-                if len(gg) >= gg_cap:
-                    break
-            if len(gg) >= gg_cap:
-                break
-        if len(gg) >= gg_cap:
+        gg.extend((x, y, z) for y in ys for z in zs)
+        if len(gg) >= GG_CAP:
             break
     return Classification(
         is_isomorphism=iso,
         is_anti_isomorphism=anti,
         is_special=special_w is None,
-        gg_triples=tuple(gg),
+        gg_triples=tuple(gg[:GG_CAP]),
         trivial=iso or anti,
         iso_witness=iso_w,
         anti_witness=anti_w,
@@ -279,10 +276,7 @@ def enumerate_half_isos(
         raise ValueError("half-isomorphisms need equal orders")
     if mode not in ("naive", "pruned"):
         raise ValueError(f"unknown mode {mode!r}")
-    yield from _enumerate(Q, R, mode == "pruned")
-
-
-def _enumerate(Q: LoopTable, R: LoopTable, pruned: bool) -> Iterator[HalfIso]:
+    pruned = mode == "pruned"
     n = Q.order
     tq, tr = Q.table, R.table
     f = [-1] * n
@@ -443,8 +437,8 @@ def ab_partition_violation(f: HalfIso) -> tuple[int, int] | None:
 # ---------------------------------------------------------------------------
 # audits
 
-def verify_enumerated(f: HalfIso, report: AnalysisReport, names: tuple[str, str]) -> None:
-    """Consistency checks applied to every enumerated half-isomorphism."""
+def speciality_check(f: HalfIso, report: AnalysisReport, names: tuple[str, str]) -> None:
+    """Report a map on which the three speciality criteria disagree."""
     crits = speciality_criteria(f)
     if len(set(crits)) != 1:
         report.add(
@@ -454,21 +448,31 @@ def verify_enumerated(f: HalfIso, report: AnalysisReport, names: tuple[str, str]
             witness=(one_based(f.mapping), crits),
             anchor="prop27",
         )
-    if is_power_associative(f.source) and is_power_associative(f.target):
-        w = power_map_violation(f)
-        if w is not None:
-            report.add(
-                "power-map-violation",
-                level="finding",
-                loops=names,
-                witness=(w[0] + 1, w[1]),
-                anchor="prop28",
-                map=one_based(f.mapping),
-            )
 
 
-def audit_theorem41(Q: LoopTable, R: LoopTable) -> AnalysisReport:
+def power_check(f: HalfIso, report: AnalysisReport, names: tuple[str, str]) -> None:
+    """Report a map that does not commute with powers; call it only when
+    source and target are power-associative."""
+    w = power_map_violation(f)
+    if w is not None:
+        report.add(
+            "power-map-violation",
+            level="finding",
+            loops=names,
+            witness=(w[0] + 1, w[1]),
+            anchor="prop28",
+            map=one_based(f.mapping),
+        )
+
+
+def audit_theorem41(
+    Q: LoopTable, R: LoopTable, maps: Iterable[HalfIso]
+) -> AnalysisReport:
     """Audit the triviality theorem on one ordered pair of loops.
+
+    `maps` must hold every half-isomorphism from Q to R, each once: the
+    audit checks and counts only these.  It is not read when the hypotheses
+    fail.
 
     Hypotheses: both loops automorphic, and the target satisfies the
     commuting condition co1.  When they hold, every half-isomorphism from Q
@@ -496,8 +500,9 @@ def audit_theorem41(Q: LoopTable, R: LoopTable) -> AnalysisReport:
         )
         return report
 
+    powers = is_power_associative(Q) and is_power_associative(R)
     count = 0
-    for f in enumerate_half_isos(Q, R, mode="pruned"):
+    for f in maps:
         count += 1
         cls = classify(f)
         if not cls.trivial:
@@ -556,7 +561,9 @@ def audit_theorem41(Q: LoopTable, R: LoopTable) -> AnalysisReport:
                 anchor="lemma41",
                 map=one_based(f.mapping),
             )
-        verify_enumerated(f, report, names)
+        speciality_check(f, report, names)
+        if powers:
+            power_check(f, report, names)
         if all(Q.has_two_sided_inverse(a) for a in Q.elements):
             for x, y, case in conjugation_transport_violations(f):
                 report.add(
@@ -605,11 +612,14 @@ def audit_theorem41(Q: LoopTable, R: LoopTable) -> AnalysisReport:
 
 
 def scan_conjecture51(
-    catalog: Sequence[tuple[str, LoopTable]], gg_cap: int = 10
+    catalog: Sequence[tuple[str, LoopTable]],
+    half_isos: Callable[[LoopTable, LoopTable], Iterable[HalfIso]],
 ) -> AnalysisReport:
     """Scan every ordered pair of equal-order automorphic loops for a
     non-special half-isomorphism.
 
+    `half_isos(Q, R)` must yield every half-isomorphism from Q to R, such
+    as `enumerate_half_isos` does; the scan checks only the maps it yields.
     An empty finding list means the speciality conjecture is consistent at
     this scale.  Any candidate finding is re-verified with the naive
     enumerator before being reported; reports carry the confirmation flag.
@@ -622,9 +632,9 @@ def scan_conjecture51(
             if Q.order != R.order:
                 continue
             pairs += 1
-            for f in enumerate_half_isos(Q, R, mode="pruned"):
+            for f in half_isos(Q, R):
                 scanned += 1
-                if classify(f, gg_cap=gg_cap).is_special:
+                if classify(f).is_special:
                     continue
                 confirmed = any(
                     g.mapping == f.mapping and not classify(g).is_special

@@ -48,6 +48,7 @@ DEFAULT_VARIABLE_CAP = 4
 
 class ParseError(LoopError):
     def __init__(self, message: str, pos: int, expected: tuple[str, ...] = ()):
+        self.message = message
         self.pos = pos
         self.expected = expected
         text = f"{message} at column {pos + 1}"
@@ -488,7 +489,9 @@ def parse_identity_file(text: str) -> list[IdentityStatement]:
                 stmt.line = lineno
                 statements.append(stmt)
         except ParseError as err:
-            raise ParseError(f"line {lineno}: {err}", err.pos) from err
+            raise ParseError(
+                f"line {lineno}: {err.message}", err.pos, err.expected
+            ) from err
     return statements
 
 

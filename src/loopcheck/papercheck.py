@@ -16,19 +16,22 @@ from random import Random
 from . import catalog as cat
 from .catalog import CatalogEntry, canonical_form, canonical_key, are_isomorphic
 from .halfiso import (
+    HalfIso,
     classify,
     enumerate_half_isos,
     half_iso_violation,
     identity_half_iso,
     audit_theorem41,
     scan_conjecture51,
-    speciality_criteria,
-    power_map_violation,
+    speciality_check,
+    power_check,
 )
 from .identities import builtin_library, evaluate
+from .perms import invert
 from .report import AnalysisReport, one_based
-from .structure import co1_violation, satisfies_co1, theorem31_violation
+from .structure import co1_violation, theorem31_violation
 from .table import (
+    LoopTable,
     is_power_associative,
     is_uniquely_2_divisible,
     make_loop,
@@ -44,6 +47,16 @@ class SuiteContext:
     seed: int = 0
     generated: dict[int, list[CatalogEntry]] = field(default_factory=dict)
     builtins: list[CatalogEntry] = field(default_factory=list)
+    enumerated: dict = field(default_factory=dict, repr=False)
+
+    def half_isos(self, Q: LoopTable, R: LoopTable) -> tuple[HalfIso, ...]:
+        """Every half-isomorphism Q -> R in pruned mode, enumerated on the
+        first request and kept for the rest of the run.  Loops compare by
+        table, so catalog entries with equal tables share one enumeration."""
+        maps = self.enumerated.get((Q, R))
+        if maps is None:
+            maps = self.enumerated[(Q, R)] = tuple(enumerate_half_isos(Q, R))
+        return maps
 
     def generated_entries(self, max_order: int | None = None) -> list[CatalogEntry]:
         cap = self.max_order if max_order is None else min(self.max_order, max_order)
@@ -280,7 +293,8 @@ def criterion_5(ctx: SuiteContext) -> AnalysisReport:
     report = AnalysisReport()
     pairs = _odd_audit_pairs(ctx)
     for a, b in pairs:
-        for rec in audit_theorem41(a.loop, b.loop).records:
+        maps = ctx.half_isos(a.loop, b.loop)
+        for rec in audit_theorem41(a.loop, b.loop, maps).records:
             if rec.level != "info":
                 report.records.append(rec)
     report.add("odd-audits-run", anchor="theorem41", pairs=len(pairs))
@@ -294,17 +308,9 @@ def criterion_6(ctx: SuiteContext) -> AnalysisReport:
     report = AnalysisReport()
     maps = 0
     for a, b in _suite_pairs(ctx):
-        for f in enumerate_half_isos(a.loop, b.loop):
+        for f in ctx.half_isos(a.loop, b.loop):
             maps += 1
-            crits = speciality_criteria(f)
-            if len(set(crits)) != 1:
-                report.add(
-                    "speciality-criteria-disagree",
-                    level="finding",
-                    loops=(a.name, b.name),
-                    witness=(one_based(f.mapping), crits),
-                    anchor="prop27",
-                )
+            speciality_check(f, report, (a.name, b.name))
     report.add("criteria-agreement-checked", anchor="prop27", maps=maps)
     return report
 
@@ -315,18 +321,9 @@ def criterion_7(ctx: SuiteContext) -> AnalysisReport:
     for a, b in _suite_pairs(ctx):
         if not (is_power_associative(a.loop) and is_power_associative(b.loop)):
             continue
-        for f in enumerate_half_isos(a.loop, b.loop, "pruned"):
+        for f in ctx.half_isos(a.loop, b.loop):
             maps += 1
-            w = power_map_violation(f)
-            if w is not None:
-                report.add(
-                    "power-map-violation",
-                    level="finding",
-                    loops=(a.name, b.name),
-                    witness=(w[0] + 1, w[1]),
-                    anchor="prop28",
-                    map=one_based(f.mapping),
-                )
+            power_check(f, report, (a.name, b.name))
     report.add("power-compatibility-checked", anchor="prop28", maps=maps)
     return report
 
@@ -339,7 +336,7 @@ def criterion_8(ctx: SuiteContext) -> AnalysisReport:
     pairs = _oracle_pairs(ctx)
     for a, b in pairs:
         naive = [f.mapping for f in enumerate_half_isos(a.loop, b.loop, "naive")]
-        pruned = [f.mapping for f in enumerate_half_isos(a.loop, b.loop, "pruned")]
+        pruned = [f.mapping for f in ctx.half_isos(a.loop, b.loop)]
         if naive != pruned:
             report.add(
                 "enumeration-mode-mismatch",
@@ -356,21 +353,10 @@ def criterion_8(ctx: SuiteContext) -> AnalysisReport:
 # ---------------------------------------------------------------------------
 # criterion 9: generator counts against the naive orbit oracle
 
-def _relabelings(n: int):
-    for suffix in permutations(range(1, n)):
-        sigma = (0, *suffix)
-        inv = [0] * n
-        for i, v in enumerate(sigma):
-            inv[v] = i
-        yield sigma, tuple(inv)
-
-
-def _relabel_table(table, sigma, sigma_inv):
-    n = len(table)
-    return tuple(
-        tuple(sigma[table[sigma_inv[i]][sigma_inv[j]]] for j in range(n))
-        for i in range(n)
-    )
+def _relabel_table(table, sigma):
+    """The table of the same loop with each element x renamed sigma[x]."""
+    inv = invert(sigma)
+    return tuple(tuple(sigma[table[a][b]] for b in inv) for a in inv)
 
 
 @lru_cache(maxsize=None)
@@ -386,8 +372,8 @@ def naive_class_count(n: int) -> int:
         if table in seen:
             continue
         count += 1
-        for sigma, sigma_inv in _relabelings(n):
-            seen.add(_relabel_table(table, sigma, sigma_inv))
+        for suffix in permutations(range(1, n)):
+            seen.add(_relabel_table(table, (0, *suffix)))
     return count
 
 
@@ -420,10 +406,7 @@ def criterion_9(ctx: SuiteContext) -> AnalysisReport:
             labels = list(range(n))
             rng.shuffle(labels)
             sigma = tuple(labels)
-            inv = [0] * n
-            for i, v in enumerate(sigma):
-                inv[v] = i
-            relabeled = make_loop(_relabel_table(L.table, sigma, tuple(inv)))
+            relabeled = make_loop(_relabel_table(L.table, sigma))
             if canonical_key(relabeled) != canonical_key(L):
                 report.add(
                     "canonical-not-invariant",
@@ -463,7 +446,7 @@ def criterion_9(ctx: SuiteContext) -> AnalysisReport:
 
 def criterion_10(ctx: SuiteContext) -> AnalysisReport:
     pool = [(e.name, e.loop) for e in ctx.generated_entries(6) if e.automorphic]
-    return scan_conjecture51(pool)
+    return scan_conjecture51(pool, ctx.half_isos)
 
 
 CRITERIA = (

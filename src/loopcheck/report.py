@@ -72,9 +72,6 @@ class AnalysisReport:
     ) -> None:
         self.records.append(Record(kind, level, loops, witness, anchor, data))
 
-    def extend(self, other: "AnalysisReport") -> None:
-        self.records.extend(other.records)
-
     @property
     def findings(self) -> list[Record]:
         return [r for r in self.records if r.level == "finding"]

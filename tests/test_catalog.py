@@ -143,6 +143,14 @@ def test_generate_counts_small():
     assert [len(generate_loops(n)) for n in range(1, 6)] == [1, 1, 1, 2, 6]
 
 
+def test_generate_jobs_match_serial():
+    serial = generate_loops(5)
+    sharded = generate_loops(5, jobs=2)
+    assert [(e.name, e.loop.table) for e in sharded] == [
+        (e.name, e.loop.table) for e in serial
+    ]
+
+
 def test_generate_order6_count(catalog6):
     assert len(catalog6) == 109
     assert [e.name for e in catalog6[:2]] == ["n6_001", "n6_002"]

@@ -149,6 +149,8 @@ def test_papercheck_json(capsys):
     crits = [r for r in records if r["kind"] == "criterion"]
     assert [c["data"]["number"] for c in crits] == list(range(1, 11))
     assert all(c["data"]["passed"] for c in crits)
+    # no wall-clock field, so two runs print the same bytes
+    assert all(set(c["data"]) == {"number", "title", "passed"} for c in crits)
 
 
 def test_order_mismatch_is_io_error(capsys):
@@ -167,6 +169,7 @@ def test_identity_check_parse_error(tmp_path, capsys):
     ids.write_text("x * = y\n")
     code, _, err = run(capsys, "identity", "check", str(ids), "c3")
     assert code == 2
+    assert err.count("column") == 1
 
 
 def test_usage_error():

@@ -2,6 +2,7 @@
 `LoopError`, and the CLI answers any file with exit code 0, 1 or 2."""
 import contextlib
 import io
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from loopcheck.catalog import builtin_loops, parse_loop_file, write_loop_file
 from loopcheck.cli import main
 from loopcheck.identities import parse_identity, parse_identity_file
-from loopcheck.table import LoopError, make_loop
+from loopcheck.table import LoopError, cyclic_group, make_loop
 
 # Arbitrary text, and text over each format's own alphabet, which reaches
 # past the first token far more often.
@@ -41,6 +42,7 @@ def test_loop_file_parser_is_total(text):
     parses_or_refuses(parse_loop_file, text)
 
 
+PLAIN_NAME = r"[A-Za-z0-9_.-]{1,12}"
 SMALL_LOOPS = [e.loop for e in builtin_loops() if e.loop.order <= 8]
 
 
@@ -52,14 +54,22 @@ def relabeled_loops(draw):
     for a, row in enumerate(L.table):
         for b, ab in enumerate(row):
             rows[sigma[a]][sigma[b]] = sigma[ab]
-    name = draw(st.none() | st.from_regex(r"[A-Za-z0-9_.-]{1,12}", fullmatch=True))
+    name = draw(st.none() | st.from_regex(PLAIN_NAME, fullmatch=True) | st.text())
     return make_loop(rows, name=name)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(relabeled_loops())
+@example(cyclic_group(3, name="a#b"))
+@example(cyclic_group(3, name="a\nb"))
+@example(cyclic_group(3, name=" a"))
 def test_loop_file_round_trip(L):
-    text = write_loop_file(L)
+    # a name either reads back or is refused; plain names always read back
+    try:
+        text = write_loop_file(L)
+    except LoopError:
+        assert not re.fullmatch(PLAIN_NAME, L.name)
+        return
     parsed = parse_loop_file(text)
     assert parsed == L and parsed.name == L.name
     assert write_loop_file(parsed) == text

@@ -208,31 +208,33 @@ def test_ab_partition(c7, star, dot):
 
 
 def test_audit_c7_pair(c7, star):
-    report = audit_theorem41(c7, star)
+    report = audit_theorem41(c7, star, enumerate_half_isos(c7, star))
     assert not report.has_findings
     summary = [r for r in report.records if r.kind == "audit-summary"]
     assert summary and summary[0].data["half_isomorphisms"] == 6
 
 
 def test_audit_reports_unmet_hypotheses(c7, dot, s3):
-    report = audit_theorem41(c7, dot)
+    report = audit_theorem41(c7, dot, enumerate_half_isos(c7, dot))
     notices = [r for r in report.records if r.kind == "hypotheses-not-met"]
     assert len(notices) == 1
     # the non-associative twin is not automorphic (it is not even
     # power-associative), which is what lets the one-way map exist
     assert notices[0].data["unmet"] == ["target-not-automorphic", "target-fails-co1"]
-    report = audit_theorem41(c7, s3)
+    report = audit_theorem41(c7, s3, enumerate_half_isos(c7, s3))
     notices = [r for r in report.records if r.kind == "hypotheses-not-met"]
     assert notices and notices[0].data["unmet"] == ["target-fails-co1"]
 
 
 def test_audit_odd_order_automorphic(c5):
-    report = audit_theorem41(c5, c5)
+    report = audit_theorem41(c5, c5, enumerate_half_isos(c5, c5))
     assert not report.has_findings
 
 
 def test_scan_groups_only(c5, c7):
-    report = scan_conjecture51([("c5", c5), ("c5b", cyclic_group(5)), ("c7", c7)])
+    report = scan_conjecture51(
+        [("c5", c5), ("c5b", cyclic_group(5)), ("c7", c7)], enumerate_half_isos
+    )
     assert not report.has_findings
     summary = report.records[-1]
     assert summary.kind == "conjecture-scan-summary"
@@ -240,7 +242,7 @@ def test_scan_groups_only(c5, c7):
 
 
 def test_scan_empty_catalog():
-    report = scan_conjecture51([])
+    report = scan_conjecture51([], enumerate_half_isos)
     assert not report.has_findings
     assert report.records[-1].data["pairs"] == 0
 

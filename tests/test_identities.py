@@ -123,6 +123,11 @@ sq(x) = x^2
     assert [s.name for s in statements] == ["conj", None]
     assert statements[0].line == 5
     assert statements[1].conclusion[0].lhs == MacroCall("sq", (Var("x"),))
+    with pytest.raises(ParseError) as exc:
+        parse_identity_file("\nx * = y\n")
+    assert str(exc.value).startswith("line 2: unexpected '='")
+    assert str(exc.value).count("column") == 1
+    assert exc.value.pos == 4 and exc.value.expected
 
 
 def test_macro_bodies_are_expanded_at_definition():
