@@ -355,8 +355,13 @@ def _shard_keys(n: int, shard: int, jobs: int) -> set[tuple[int, ...]]:
     return keys
 
 
-@lru_cache(maxsize=None)
-def _generated_base(n: int, jobs: int = 1) -> tuple[LoopTable, ...]:
+# The classes of each order generated so far, whatever `jobs` built them;
+# `_generate` refuses orders above GENERATION_HARD_CAP, so this holds at
+# most seven entries.
+_GENERATED: dict[int, tuple[LoopTable, ...]] = {}
+
+
+def _generate(n: int, jobs: int) -> tuple[LoopTable, ...]:
     if n > GENERATION_HARD_CAP:
         raise OrderTooLarge(
             f"exhaustive generation is capped at order {GENERATION_HARD_CAP}"
@@ -393,5 +398,8 @@ def generate_loops(
     Every emitted entry re-passes its filter predicates by construction of
     the flags.
     """
-    entries = [make_entry(L.name, L) for L in _generated_base(n, jobs)]
+    base = _GENERATED.get(n)
+    if base is None:
+        base = _GENERATED[n] = _generate(n, jobs)
+    entries = [make_entry(L.name, L) for L in base]
     return [entry for entry in entries if entry_passes(entry, tuple(filters))]

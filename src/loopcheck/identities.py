@@ -551,54 +551,43 @@ def macro_to_text(macro: MacroDef) -> str:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def expand_term(term: Term, macros: Mapping[str, MacroDef]) -> Term:
-    """Replace macro calls by their bodies; the result is macro-free."""
-    if isinstance(term, (Var, One)):
+def expand_term(
+    term: Term, macros: Mapping[str, MacroDef], args: Mapping[str, Term] | None = None
+) -> Term:
+    """Replace macro calls by their bodies; the result is macro-free.
+
+    Inside a macro body, `args` maps the macro's parameters to its expanded
+    arguments, which are shared rather than copied.
+    """
+    if isinstance(term, Var):
+        return args.get(term.name, term) if args else term
+    if isinstance(term, One):
         return term
-    if isinstance(term, Mul):
-        return Mul(expand_term(term.left, macros), expand_term(term.right, macros))
-    if isinstance(term, LDiv):
-        return LDiv(expand_term(term.left, macros), expand_term(term.right, macros))
-    if isinstance(term, RDiv):
-        return RDiv(expand_term(term.left, macros), expand_term(term.right, macros))
+
+    def sub(t: Term) -> Term:
+        return expand_term(t, macros, args)
+
+    if isinstance(term, (Mul, LDiv, RDiv)):
+        return type(term)(sub(term.left), sub(term.right))
     if isinstance(term, Inv):
-        return Inv(expand_term(term.arg, macros))
+        return Inv(sub(term.arg))
     if isinstance(term, Pow):
-        return Pow(expand_term(term.arg, macros), term.exponent)
+        return Pow(sub(term.arg), term.exponent)
     if isinstance(term, MacroCall):
         macro = macros.get(term.name)
         if macro is None:
             raise LoopError(f"undefined macro {term.name!r}")
-        args = {
-            p: expand_term(a, macros) for p, a in zip(macro.params, term.args)
-        }
-        return _substitute(macro.body, args)
+        inner = dict(zip(macro.params, map(sub, term.args)))
+        return expand_term(macro.body, macros, inner)
     raise TypeError(f"not a term: {term!r}")
-
-
-def _substitute(body: Term, args: Mapping[str, Term]) -> Term:
-    if isinstance(body, Var):
-        return args.get(body.name, body)
-    if isinstance(body, One):
-        return body
-    if isinstance(body, Mul):
-        return Mul(_substitute(body.left, args), _substitute(body.right, args))
-    if isinstance(body, LDiv):
-        return LDiv(_substitute(body.left, args), _substitute(body.right, args))
-    if isinstance(body, RDiv):
-        return RDiv(_substitute(body.left, args), _substitute(body.right, args))
-    if isinstance(body, Inv):
-        return Inv(_substitute(body.arg, args))
-    if isinstance(body, Pow):
-        return Pow(_substitute(body.arg, args), body.exponent)
-    raise TypeError(f"macro bodies are macro-free; got {body!r}")
 
 
 def eval_term(L: LoopTable, term: Term, env: Mapping[str, int]) -> int:
     """Evaluate a macro-free term under one assignment of elements to variables.
 
-    This tree walker defines the semantics; `evaluate` compiles terms instead
-    and is tested against it.
+    This tree walker defines the semantics; `evaluate` compiles terms instead,
+    falls back to this walker in a block that meets a missing inverse, and is
+    tested against it.
     """
     if isinstance(term, Var):
         return env[term.name]
@@ -664,25 +653,24 @@ class _Program:
 
     def __init__(self, L: LoopTable, stmt: IdentityStatement):
         self.loop = L
-        names = stmt.variables
+        self.names = names = stmt.variables
         self.slots: dict = {Var(v): i for i, v in enumerate(names)}
         self.slots[One()] = len(names)
         self.steps: dict[int, object] = {}
-
-        def side(term: Term) -> tuple[int, list]:
-            # its slot and the steps its value needs, in the tree walker's order
-            needs: dict[int, object] = {}
-            return self._compile(expand_term(term, stmt.macros), needs), list(needs.items())
-
-        self.hyps = [(side(eq.lhs), side(eq.rhs)) for eq in stmt.hypotheses]
-        self.concl = [(side(eq.lhs), side(eq.rhs)) for eq in stmt.conclusion]
+        # the expanded sides, which the tree walker reads in a poisoned block
+        self.hyps, self.concl = (
+            [(expand_term(eq.lhs, stmt.macros), expand_term(eq.rhs, stmt.macros)) for eq in eqs]
+            for eqs in (stmt.hypotheses, stmt.conclusion)
+        )
+        self.hyp_slots = [(self._compile(lhs), self._compile(rhs)) for lhs, rhs in self.hyps]
+        self.concl_slots = [(self._compile(lhs), self._compile(rhs)) for lhs, rhs in self.concl]
         n = L.order
         tail = min(len(names), 2)
         self.leading = len(names) - tail
         self.size = n**tail
         self.columns = [[i // n**p % n for i in range(self.size)] for p in reversed(range(tail))]
 
-    def _compile(self, term: Term, needs: dict) -> int:
+    def _compile(self, term: Term) -> int:
         if isinstance(term, (Var, One)):
             return self.slots[term]
         if isinstance(term, RDiv):
@@ -691,7 +679,7 @@ class _Program:
             operands = (term.left, term.right)
         else:
             operands = (term.arg,)
-        key = (type(term), *(self._compile(t, needs) for t in operands))
+        key = (type(term), *(self._compile(t) for t in operands))
         if isinstance(term, Pow):
             key += (term.exponent,)
         slot = self.slots.get(key)
@@ -704,7 +692,6 @@ class _Program:
                 self.steps[slot] = _unary(L.power_table(term.exponent), key[1])
             else:
                 self.steps[slot] = _binary(getattr(L, self.TABLES[type(term)]), *key[1:])
-        needs.setdefault(slot, self.steps[slot])
         return slot
 
     def counterexample(self, prefix: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -713,7 +700,8 @@ class _Program:
 
         The whole block is evaluated at once.  Should that meet an element
         without an inverse, possibly where the tree walker would never look,
-        the block is evaluated again one assignment at a time.
+        the block is evaluated again one assignment at a time by the tree
+        walker itself.
         """
         try:
             hit = self._block_failure(prefix)
@@ -727,43 +715,29 @@ class _Program:
     def _combo(self, prefix: tuple[int, ...], i: int) -> tuple[int, ...]:
         return (*prefix, *(col[i] for col in self.columns))
 
-    def _values(self, env: list[list[int]], size: int) -> list:
-        return env + [[self.loop.identity] * size] + [None] * len(self.steps)
-
     def _block_failure(self, prefix: tuple[int, ...]) -> int | None:
         size = self.size
-        vals = self._values([[v] * size for v in prefix] + self.columns, size)
+        vals = [[v] * size for v in prefix] + self.columns + [[self.loop.identity] * size]
+        vals += [None] * len(self.steps)
         for slot, step in self.steps.items():
             vals[slot] = step(vals)
-        concl = [(vals[l], vals[r]) for (l, _), (r, _) in self.concl]
+        concl = [(vals[l], vals[r]) for l, r in self.concl_slots]
         if any(lhs == rhs for lhs, rhs in concl):
             return None
         ok = [False] * size
         for lhs, rhs in concl:
             ok = list(map(operator.or_, ok, map(operator.eq, lhs, rhs)))
-        for (l, _), (r, _) in self.hyps:
+        for l, r in self.hyp_slots:
             ok = list(map(operator.or_, ok, map(operator.ne, vals[l], vals[r])))
         return ok.index(False) if False in ok else None
 
     def _falsified_at(self, combo: tuple[int, ...]) -> bool:
-        # As the tree walker does: sides left to right, stopping at the first
-        # hypothesis that fails or alternative that holds, so the same
-        # missing inverse surfaces first.
-        vals = self._values([[v] for v in combo], 1)
-
-        def value(side) -> int:
-            slot, needs = side
-            for s, step in needs:
-                if vals[s] is None:
-                    vals[s] = step(vals)
-            return vals[slot][0]
-
-        try:
-            if any(value(lhs) != value(rhs) for lhs, rhs in self.hyps):
-                return False
-            return not any(value(lhs) == value(rhs) for lhs, rhs in self.concl)
-        except _Poison as err:
-            raise InverseUnavailable(err.element, self.loop) from None
+        # The tree walker's order: hypotheses first, then the alternatives,
+        # each stopping early, so the same missing inverse surfaces first.
+        L, env = self.loop, dict(zip(self.names, combo))
+        if any(eval_term(L, lhs, env) != eval_term(L, rhs, env) for lhs, rhs in self.hyps):
+            return False
+        return not any(eval_term(L, lhs, env) == eval_term(L, rhs, env) for lhs, rhs in self.concl)
 
 
 def evaluate(

@@ -407,7 +407,8 @@ def criterion_9(ctx: SuiteContext) -> AnalysisReport:
             rng.shuffle(labels)
             sigma = tuple(labels)
             relabeled = make_loop(_relabel_table(L.table, sigma))
-            if canonical_key(relabeled) != canonical_key(L):
+            keys[entry.name] = canonical_key(L)
+            if canonical_key(relabeled) != keys[entry.name]:
                 report.add(
                     "canonical-not-invariant",
                     level="finding",
@@ -422,7 +423,6 @@ def criterion_9(ctx: SuiteContext) -> AnalysisReport:
                     loops=(entry.name,),
                     anchor="canonical-form",
                 )
-            keys[entry.name] = canonical_key(L)
         # canonical equality must agree with the backtracking search
         for i, e1 in enumerate(generated):
             for e2 in generated[i + 1 :]:

@@ -13,7 +13,7 @@ from .table import LoopError, LoopTable, is_power_associative, per_loop
 
 Perm = tuple[int, ...]
 
-DEFAULT_CLOSURE_CAP = 1_000_000
+CLOSURE_CAP = 1_000_000
 
 
 def identity_perm(n: int) -> Perm:
@@ -40,7 +40,6 @@ def invert(p: Perm) -> Perm:
 @dataclass(frozen=True)
 class PermGroup:
     degree: int
-    generators: tuple[tuple[str, Perm], ...]
     elements: frozenset[Perm]
     truncated: bool = False
 
@@ -55,24 +54,22 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, size={len(self.elements)}{flag})"
 
 
-def group_closure(
-    generators, cap: int = DEFAULT_CLOSURE_CAP, degree: int | None = None
-) -> PermGroup:
-    """Breadth-first closure of labeled generators under composition.
+def group_closure(perms, degree: int | None = None) -> PermGroup:
+    """Breadth-first closure of permutations under composition.
 
     Closure under inversion is automatic for finite permutation sets.  If the
-    element count would exceed `cap` the search stops with ``truncated=True``
-    (the returned set is then not necessarily closed).
+    element count would exceed `CLOSURE_CAP` the search stops with
+    ``truncated=True`` (the returned set is then not necessarily closed).
     """
-    gens = tuple(generators)
+    gens = tuple(dict.fromkeys(perms))
     if not gens:
         if degree is None:
             raise ValueError("degree is required when there are no generators")
-        return PermGroup(degree, (), frozenset({identity_perm(degree)}))
-    deg = len(gens[0][1])
+        return PermGroup(degree, frozenset({identity_perm(degree)}))
+    deg = len(gens[0])
     if degree is not None and degree != deg:
         raise ValueError(f"degree mismatch: {degree} vs {deg}")
-    if any(len(p) != deg for _, p in gens):
+    if any(len(p) != deg for p in gens):
         raise ValueError("generators have mixed degrees")
 
     elements = {identity_perm(deg)}
@@ -81,18 +78,18 @@ def group_closure(
     while frontier and not truncated:
         new = []
         for p in frontier:
-            for _, g in gens:
+            for g in gens:
                 q = tuple(g[v] for v in p)
                 if q not in elements:
                     elements.add(q)
                     new.append(q)
-                    if len(elements) > cap:
+                    if len(elements) > CLOSURE_CAP:
                         truncated = True
                         break
             if truncated:
                 break
         frontier = new
-    return PermGroup(deg, gens, frozenset(elements), truncated)
+    return PermGroup(deg, frozenset(elements), truncated)
 
 
 def inner_generators(L: LoopTable) -> list[tuple[str, Perm]]:
@@ -122,14 +119,13 @@ def inner_generators(L: LoopTable) -> list[tuple[str, Perm]]:
     return out
 
 
-def mlt_group(L: LoopTable, cap: int = DEFAULT_CLOSURE_CAP) -> PermGroup:
-    gens = [(f"L({a + 1})", L.left_translation(a)) for a in L.elements]
-    gens += [(f"R({a + 1})", L.right_translation(a)) for a in L.elements]
-    return group_closure(gens, cap=cap)
+def mlt_group(L: LoopTable) -> PermGroup:
+    return group_closure([*map(L.left_translation, L.elements),
+                          *map(L.right_translation, L.elements)])
 
 
-def inn_group(L: LoopTable, cap: int = DEFAULT_CLOSURE_CAP) -> PermGroup:
-    grp = group_closure(inner_generators(L), cap=cap)
+def inn_group(L: LoopTable) -> PermGroup:
+    grp = group_closure(p for _, p in inner_generators(L))
     e = L.identity
     if any(p[e] != e for p in grp.elements):
         raise LoopError("inner closure moved the identity")
@@ -159,8 +155,12 @@ def automorphic_violation(L: LoopTable) -> tuple[str, tuple[int, int]] | None:
 
     Checking the generators suffices: automorphisms form a group, so they
     contain the inner mapping group exactly when they contain its generators.
+    Each distinct mapping is checked once, under its first label.
     """
+    first: dict[Perm, str] = {}
     for label, p in inner_generators(L):
+        first.setdefault(p, label)
+    for p, label in first.items():
         w = automorphism_violation(L, p)
         if w is not None:
             return (label, w)
@@ -251,11 +251,4 @@ def isomorphisms(L1: LoopTable, L2: LoopTable) -> Iterator[Perm]:
 
 def automorphism_group(L: LoopTable) -> PermGroup:
     """The full automorphism group, found by backtracking search."""
-    elems = sorted(isomorphisms(L, L))
-    gens: list[tuple[str, Perm]] = []
-    span = {identity_perm(L.order)}
-    for p in elems:
-        if p not in span:
-            gens.append((f"a{len(gens) + 1}", p))
-            span = set(group_closure(gens, degree=L.order).elements)
-    return PermGroup(L.order, tuple(gens), frozenset(elems))
+    return PermGroup(L.order, frozenset(isomorphisms(L, L)))

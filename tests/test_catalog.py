@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from loopcheck.catalog import (
     LoopFileError,
+    _generate,
     are_isomorphic,
     builtin_loop,
     builtin_loops,
@@ -144,11 +145,15 @@ def test_generate_counts_small():
 
 
 def test_generate_jobs_match_serial():
+    serial = _generate(5, 1)
+    sharded = _generate(5, 2)
+    assert [(L.name, L.table) for L in sharded] == [(L.name, L.table) for L in serial]
+
+
+def test_generation_cache_ignores_jobs():
     serial = generate_loops(5)
     sharded = generate_loops(5, jobs=2)
-    assert [(e.name, e.loop.table) for e in sharded] == [
-        (e.name, e.loop.table) for e in serial
-    ]
+    assert [id(e.loop) for e in serial] == [id(e.loop) for e in sharded]
 
 
 def test_generate_order6_count(catalog6):

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from loopcheck import perms
 from loopcheck.perms import (
     apply,
     automorphic_violation,
@@ -17,6 +18,7 @@ from loopcheck.perms import (
     isomorphisms,
     mlt_group,
 )
+from loopcheck.catalog import builtin_loops, generate_loops
 from loopcheck.table import cyclic_group
 
 perms7 = st.permutations(range(7))
@@ -76,8 +78,9 @@ def test_group_closure_closed(dot):
     assert all(invert(p) in elements for p in some)
 
 
-def test_group_closure_truncation(dot):
-    grp = mlt_group(dot, cap=100)
+def test_group_closure_truncation(dot, monkeypatch):
+    monkeypatch.setattr(perms, "CLOSURE_CAP", 100)
+    grp = mlt_group(dot)
     assert grp.truncated
     assert len(grp) > 100
 
@@ -110,6 +113,23 @@ def test_is_automorphic(star, dot, s3, c5):
     assert pair is not None
 
 
+def test_automorphic_violation_is_first_failing_generator(s3):
+    # the check visits each distinct inner mapping once; scanning every
+    # labelled generator must find the same first failure
+    loops = [e.loop for n in range(1, 7) for e in generate_loops(n)]
+    loops += [e.loop for e in builtin_loops()] + [s3]
+    outcomes = set()
+    for L in loops:
+        want = next(
+            ((label, w) for label, p in inner_generators(L)
+             if (w := automorphism_violation(L, p)) is not None),
+            None,
+        )
+        assert automorphic_violation(L) == want, L.name
+        outcomes.add(want is None)
+    assert outcomes == {True, False}
+
+
 def test_automorphism_group_sizes(star, dot, s3):
     assert len(automorphism_group(star)) == 6
     assert len(automorphism_group(cyclic_group(1))) == 1
@@ -131,7 +151,6 @@ def test_automorphism_group_matches_naive_filter(dot):
 
 def test_automorphism_group_invariants(s3):
     grp = automorphism_group(s3)
-    assert all(p in grp.elements for _, p in grp.generators)
     elements = grp.elements
     assert all(compose(p, q) in elements for p in elements for q in elements)
 
@@ -188,7 +207,7 @@ def test_inn_subset_aut_on_automorphic(s3):
 def test_inn_of_group_is_conjugation_closure(s3):
     from loopcheck.halfiso import conjugation_map
 
-    conj = [(f"phi{x}", conjugation_map(s3, x)) for x in s3.elements]
+    conj = [conjugation_map(s3, x) for x in s3.elements]
     assert group_closure(conj).elements == inn_group(s3).elements
 
 
