@@ -28,6 +28,7 @@ from .table import (
 )
 from .perms import (
     PermGroup,
+    StabilizerChain,
     compose,
     invert,
     apply,

@@ -6,10 +6,17 @@ translations read in the same order as they are written.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .table import LoopError, LoopTable, is_power_associative, per_loop
+from .table import (
+    LoopError,
+    LoopTable,
+    is_power_associative,
+    multiplication_closure,
+    per_loop,
+)
 
 Perm = tuple[int, ...]
 
@@ -171,12 +178,17 @@ def is_automorphic(L: LoopTable) -> bool:
     return automorphic_violation(L) is None
 
 
-def isomorphisms(L1: LoopTable, L2: LoopTable) -> Iterator[Perm]:
+def isomorphisms(
+    L1: LoopTable, L2: LoopTable, fixed: Iterable[tuple[int, int]] = ()
+) -> Iterator[Perm]:
     """Yield every isomorphism L1 -> L2 as an image tuple, lexicographically.
 
     Backtracking over images with the identity pinned, forced propagation of
     partial products, and (for power-associative pairs) pruning by element
-    order.
+    order.  `fixed` holds (a, v) pairs: they are pinned and propagated right
+    after the identity, so exactly the isomorphisms sending every such a to
+    its v are yielded, still in lexicographic order.  Pairs that no
+    isomorphism extends yield nothing.
     """
     if L1.order != L2.order:
         return
@@ -197,6 +209,8 @@ def isomorphisms(L1: LoopTable, L2: LoopTable) -> Iterator[Perm]:
     def assign(a: int, v: int, trail: list[int]) -> bool:
         # Assign sigma[a] = v, then propagate all products that become
         # determined; record assignments in trail for undo.
+        if sigma[a] >= 0:
+            return sigma[a] == v
         if taken[v]:
             return False
         sigma[a] = v
@@ -244,11 +258,84 @@ def isomorphisms(L1: LoopTable, L2: LoopTable) -> Iterator[Perm]:
             undo(trail)
 
     seed: list[int] = []
-    if assign(L1.identity, L2.identity, seed):
+    if assign(L1.identity, L2.identity, seed) and all(
+        assign(a, v, seed) for a, v in fixed
+    ):
         yield from extend()
     undo(seed)
 
 
-def automorphism_group(L: LoopTable) -> PermGroup:
-    """The full automorphism group, found by backtracking search."""
-    return PermGroup(L.order, frozenset(isomorphisms(L, L)))
+def _generating_sequence(L: LoopTable) -> tuple[int, ...]:
+    """Greedy generators of L, elements of highest order first.
+
+    Each one lies outside the multiplication closure of those before it, and
+    the closure of all of them is L.
+    """
+    base: list[int] = []
+    closed = {L.identity}
+    for a in sorted(L.elements, key=L.element_order, reverse=True):
+        if a not in closed:
+            base.append(a)
+            closed = multiplication_closure(L, closed | {a})
+    return tuple(base)
+
+
+@dataclass(frozen=True)
+class StabilizerChain:
+    """A permutation group as a stabilizer chain along `base`.
+
+    ``orbits[i]`` is the orbit of ``base[i]`` under the stabilizer of
+    ``base[:i]``, and the `generators` that fix ``base[:i]`` generate that
+    stabilizer (a strong generating set).  The group's order is the product
+    of the orbit lengths.
+    """
+    degree: int
+    base: tuple[int, ...]
+    orbits: tuple[frozenset[int], ...]
+    generators: tuple[Perm, ...]
+
+    def __len__(self) -> int:
+        return math.prod(map(len, self.orbits))
+
+
+def _orbit(point: int, perms) -> set[int]:
+    orbit = {point}
+    frontier = [point]
+    while frontier:
+        x = frontier.pop()
+        for p in perms:
+            y = p[x]
+            if y not in orbit:
+                orbit.add(y)
+                frontier.append(y)
+    return orbit
+
+
+def automorphism_group(L: LoopTable) -> StabilizerChain:
+    """Aut(L) as a stabilizer chain along `_generating_sequence(L)`.
+
+    An automorphism is fixed by its images of the generators g1..gk, so the
+    stabilizer of all of them is trivial and |Aut| is the product of the
+    orbit lengths.  Levels are filled from the last, where the search is
+    most constrained.  At level i every image v that the generators found
+    so far do not already reach from gi is tried by one pinned search
+    (g1..g(i-1) fixed, gi sent to v); the first isomorphism it yields is
+    kept as a strong generator.  Nothing else is enumerated: callers that
+    need the elements enumerate ``isomorphisms(L, L)``, and membership is
+    `is_automorphism`.
+    """
+    base = _generating_sequence(L)
+    gens: list[Perm] = []
+    orbits: list[frozenset[int]] = [frozenset()] * len(base)
+    for i in reversed(range(len(base))):
+        pins = [(g, g) for g in base[:i]]
+        orbit = _orbit(base[i], gens)
+        for v in L.elements:
+            if v in orbit:
+                continue
+            w = next(isomorphisms(L, L, fixed=[*pins, (base[i], v)]), None)
+            if w is not None:
+                gens.append(w)
+                orbit = _orbit(base[i], gens)
+        orbits[i] = frozenset(orbit)
+    return StabilizerChain(L.order, base, tuple(orbits), tuple(gens))

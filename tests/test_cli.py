@@ -42,6 +42,14 @@ def test_analyze_json_lines(capsys):
     assert {"loop", "predicate", "group-size", "condition"} <= kinds
 
 
+def test_analyze_aut_of_elementary_abelian_32(capsys):
+    code, out, _ = run(capsys, "--format", "json-lines", "analyze", "c2xc2xc2xc2xc2")
+    assert code == 0
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    sizes = {r["anchor"]: r["data"]["size"] for r in records if r["kind"] == "group-size"}
+    assert sizes["aut"] == 9_999_360  # |GL(5, 2)|
+
+
 def test_analyze_bad_file(tmp_path, capsys):
     path = tmp_path / "bad.loop"
     path.write_text("loop 2 broken\n1 1\n2 2\n")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,10 +20,26 @@ from loopcheck.perms import (
     isomorphisms,
     mlt_group,
 )
-from loopcheck.catalog import builtin_loops, generate_loops
-from loopcheck.table import cyclic_group
+from loopcheck.catalog import builtin_loop, builtin_loops, generate_loops
+from loopcheck.table import cyclic_group, make_loop, multiplication_closure
 
 perms7 = st.permutations(range(7))
+
+
+def relabeled(L, seed):
+    """L with its elements renamed by a seeded random permutation."""
+    sigma = list(L.elements)
+    random.Random(seed).shuffle(sigma)
+    inv = invert(tuple(sigma))
+    n = L.order
+    return make_loop(
+        [[sigma[L.table[inv[i]][inv[j]]] for j in range(n)] for i in range(n)],
+        name=L.name,
+    )
+
+
+def small_loops(max_order):
+    return [e.loop for n in range(1, max_order + 1) for e in generate_loops(n)]
 
 
 @given(perms7, perms7, st.integers(min_value=0, max_value=6))
@@ -98,6 +116,12 @@ def test_mlt_size_divisible_by_order(star, dot, s3):
         assert len(mlt_group(L)) % L.order == 0
 
 
+def test_mlt_is_order_times_inn():
+    # Mlt is transitive and Inn is the stabilizer of the identity
+    for L in small_loops(6) + [e.loop for e in builtin_loops()]:
+        assert len(mlt_group(L)) == L.order * len(inn_group(L)), L.name
+
+
 def test_is_automorphism(star, dot):
     assert is_automorphism(star, identity_perm(7))
     cubing = tuple((3 * i) % 7 for i in range(7))
@@ -138,6 +162,31 @@ def test_automorphism_group_sizes(star, dot, s3):
     assert len(automorphism_group(dot)) == 1
 
 
+def test_automorphism_group_matches_enumeration(s3):
+    loops = small_loops(6) + [e.loop for e in builtin_loops()] + [s3]
+    loops += [
+        relabeled(builtin_loop(name), seed)
+        for seed, name in enumerate(("c2xc2xc4", "c4xc4", "c2xc8", "c2xc2xc2xc2"))
+    ]
+    for L in loops:
+        chain = automorphism_group(L)
+        assert len(chain) == sum(1 for _ in isomorphisms(L, L)), L.name
+        assert all(is_automorphism(L, p) for p in chain.generators)
+        assert multiplication_closure(L, chain.base) | {L.identity} == set(L.elements)
+        for i, g in enumerate(chain.base):
+            # the generators fixing base[:i] move base[i] within its orbit
+            for p in chain.generators:
+                if all(p[a] == a for a in chain.base[:i]):
+                    assert p[g] in chain.orbits[i]
+
+
+def test_automorphism_group_frozen_sizes():
+    # |GL(5,2)|, |GL(6,2)|, and |Aut(Z4^3)| = |GL(3,2)| * 2^9
+    assert len(automorphism_group(builtin_loop("c2xc2xc2xc2xc2"))) == 9_999_360
+    assert len(automorphism_group(builtin_loop("c2xc2xc2xc2xc2xc2"))) == 20_158_709_760
+    assert len(automorphism_group(builtin_loop("c4xc4xc4"))) == 86_016
+
+
 def test_automorphism_group_matches_naive_filter(dot):
     from itertools import permutations
 
@@ -146,12 +195,12 @@ def test_automorphism_group_matches_naive_filter(dot):
         for rest in permutations(range(1, 7))
         if is_automorphism(dot, (0, *rest))
     }
-    assert automorphism_group(dot).elements == naive
+    assert set(isomorphisms(dot, dot)) == naive
+    assert len(automorphism_group(dot)) == len(naive)
 
 
 def test_automorphism_group_invariants(s3):
-    grp = automorphism_group(s3)
-    elements = grp.elements
+    elements = set(isomorphisms(s3, s3))
     assert all(compose(p, q) in elements for p in elements for q in elements)
 
 
@@ -159,6 +208,39 @@ def test_isomorphisms_count(c7, star):
     assert sum(1 for _ in isomorphisms(c7, star)) == 6
     maps = list(isomorphisms(c7, star))
     assert maps == sorted(maps)  # lexicographic order
+
+
+def test_pinned_isomorphisms_match_filtered_enumeration(s3):
+    loops = small_loops(5) + [s3, builtin_loop("c2xc2xc2")]
+    rng = random.Random(6)
+    for L1 in loops:
+        for L2 in loops:
+            if L1.order != L2.order:
+                continue
+            full = list(isomorphisms(L1, L2))
+            n = L1.order
+            pin_sets = [
+                [(rng.randrange(n), rng.randrange(n)) for _ in range(k)]
+                for k in (1, 1, 2, 3)
+            ]
+            if full:
+                f = rng.choice(full)
+                pin_sets.append([(a, f[a]) for a in rng.sample(range(n), min(n, 2))])
+            for pins in pin_sets:
+                want = [f for f in full if all(f[a] == v for a, v in pins)]
+                assert list(isomorphisms(L1, L2, fixed=pins)) == want, (L1, L2, pins)
+
+
+def test_inconsistent_pins_yield_nothing(s3):
+    L = builtin_loop("c2xc4")
+    assert sum(1 for _ in isomorphisms(L, L)) == 8
+    for M in (L, s3):
+        e = M.identity
+        a, b = [x for x in M.elements if x != e][:2]
+        assert list(isomorphisms(M, M, fixed=[(e, a)])) == []
+        assert list(isomorphisms(M, M, fixed=[(a, a), (b, a)])) == []
+        wrong = next(v for v in M.elements if M.element_order(v) != M.element_order(a))
+        assert list(isomorphisms(M, M, fixed=[(a, wrong)])) == []
 
 
 def test_translation_powers_commute_on_automorphic(star, s3):
@@ -194,14 +276,13 @@ def test_middle_translation_inverse_on_automorphic(star, s3):
 
 
 def test_automorphisms_commute_with_sqrt(star):
-    for p in automorphism_group(star).elements:
+    for p in isomorphisms(star, star):
         for x in star.elements:
             assert p[star.sqrt(x)] == star.sqrt(p[x])
 
 
 def test_inn_subset_aut_on_automorphic(s3):
-    auts = automorphism_group(s3).elements
-    assert all(p in auts for p in inn_group(s3).elements)
+    assert all(is_automorphism(s3, p) for p in inn_group(s3).elements)
 
 
 def test_inn_of_group_is_conjugation_closure(s3):
