@@ -11,8 +11,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, permutations
-from typing import Iterator
+from itertools import chain, groupby, islice, permutations, product
+from typing import Iterable, Iterator
 
 from .table import (
     LoopTable,
@@ -219,41 +219,73 @@ def builtin_loops() -> tuple[CatalogEntry, ...]:
 # ---------------------------------------------------------------------------
 # canonical forms and isomorphism
 
-@lru_cache(maxsize=8)
-def _identity_fixing_suffixes(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(permutations(range(1, n)))
+def _cycle_type(perm) -> tuple[int, ...]:
+    seen = [False] * len(perm)
+    lengths = []
+    for start in range(len(perm)):
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = perm[x]
+            length += 1
+        if length:
+            lengths.append(length)
+    lengths.sort()
+    return tuple(lengths)
 
 
-def _canonical_rows(
-    table: tuple[tuple[int, ...], ...], identity: int
-) -> tuple[tuple[int, ...], ...]:
-    """Lexicographically least relabeled table over all relabelings that send
-    the identity to label 0.
+def _cell_relabelings(table: tuple[tuple[int, ...], ...]) -> Iterator[list[int]]:
+    """The orders of a reduced table's elements that list the identity 0
+    first and then the cells in order, permuted within each cell.
 
-    Every candidate's row 0 and column 0 are forced, so only the inner
-    (n-1)^2 cells are compared, with early abort against the best so far.
+    A cell holds the non-identity elements x with one value of
+    (cycle type of L_x, cycle type of R_x); cells are ordered by that value.
+    An isomorphism maps cells onto equal cells, so it maps this candidate
+    set of one loop onto that of the other.
     """
     n = len(table)
-    rest = [x for x in range(n) if x != identity]
-    sigma = [0] * n
+    invariant = {
+        x: (_cycle_type(table[x]), _cycle_type([row[x] for row in table]))
+        for x in range(1, n)
+    }
+    elements = sorted(range(1, n), key=invariant.__getitem__)
+    cells = [
+        list(cell) for _, cell in groupby(elements, key=invariant.__getitem__)
+    ]
+    # Lists, not iterators: tuples that `product` builds from iterators are
+    # resized, bypass CPython's tuple free lists and then pile up in them.
+    for parts in product(*[list(permutations(cell)) for cell in cells]):
+        yield [0, *chain.from_iterable(parts)]
+
+
+def _least_inner(
+    table: tuple[tuple[int, ...], ...], orders: Iterable[list[int]]
+) -> tuple[int, ...]:
+    """Lexicographically least relabeled inner table over the candidate
+    orders, each listing the original elements by new label with the
+    identity first.
+
+    Every candidate's row 0 and column 0 are forced, so only the inner
+    (n-1)^2 cells are compared, flattened, with early abort against the
+    best so far.
+    """
+    sigma = [0] * len(table)
     best: list[int] | None = None
-    for suffix in _identity_fixing_suffixes(n):
-        # order[k] is the original element that receives new label k
-        order = [identity] + [rest[s - 1] for s in suffix]
+    for order in orders:
         for k, x in enumerate(order):
             sigma[x] = k
+        inner = order[1:]
         if best is None:
-            best = [
-                sigma[table[a][b]] for a in order[1:] for b in order[1:]
-            ]
+            best = [sigma[table[a][b]] for a in inner for b in inner]
             continue
         idx = 0
         smaller = False
         cand: list[int] = []
         abort = False
-        for a in order[1:]:
+        for a in inner:
             row = table[a]
-            for b in order[1:]:
+            for b in inner:
                 v = sigma[row[b]]
                 if smaller:
                     cand.append(v)
@@ -271,11 +303,28 @@ def _canonical_rows(
                 break
         if smaller and not abort:
             best = cand
-    inner = best
+    return tuple(best)
+
+
+def _canonical_rows(
+    table: tuple[tuple[int, ...], ...], identity: int
+) -> tuple[tuple[int, ...], ...]:
+    """Lexicographically least relabeled table over all relabelings that send
+    the identity to label 0."""
+    n = len(table)
+    rest = [x for x in range(n) if x != identity]
+    inner = _least_inner(table, ([identity, *tail] for tail in permutations(rest)))
     rows = [tuple(range(n))]
     for i in range(1, n):
         rows.append((i, *inner[(i - 1) * (n - 1) : i * (n - 1)]))
     return tuple(rows)
+
+
+def _dedupe_key(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """A complete invariant of a reduced table: equal keys hold exactly for
+    isomorphic loops.  It is the least inner table over the cell
+    relabelings only, so it is not the lexicographic `canonical_key`."""
+    return _least_inner(table, _cell_relabelings(table))
 
 
 def canonical_key(L: LoopTable) -> tuple[int, ...]:
@@ -346,18 +395,22 @@ def reduced_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     yield from fill(0)
 
 
-def _shard_keys(n: int, shard: int, jobs: int) -> set[tuple[int, ...]]:
-    """Canonical keys of every `jobs`-th reduced table of order n, starting
-    at index `shard`; the tables stream, so memory holds only the keys."""
-    keys = set()
+def _shard_keys(
+    n: int, shard: int, jobs: int
+) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """One class representative per `_dedupe_key` among every `jobs`-th
+    reduced table of order n, starting at index `shard`: the first table
+    seen of each class.  The tables stream, so memory holds only the keys
+    and their representatives."""
+    classes = {}
     for table in islice(reduced_tables(n), shard, None, jobs):
-        keys.add(tuple(v for row in _canonical_rows(table, 0) for v in row))
-    return keys
+        classes.setdefault(_dedupe_key(table), table)
+    return classes
 
 
 # The classes of each order generated so far, whatever `jobs` built them;
-# `_generate` refuses orders above GENERATION_HARD_CAP, so this holds at
-# most seven entries.
+# `_generate` refuses orders outside 1..GENERATION_HARD_CAP, so this holds
+# at most seven entries.
 _GENERATED: dict[int, tuple[LoopTable, ...]] = {}
 
 
@@ -365,6 +418,11 @@ def _generate(n: int, jobs: int) -> tuple[LoopTable, ...]:
     if n > GENERATION_HARD_CAP:
         raise OrderTooLarge(
             f"exhaustive generation is capped at order {GENERATION_HARD_CAP}"
+        )
+    if n < 1:
+        raise LoopError(
+            f"exhaustive generation takes an order from 1 to "
+            f"{GENERATION_HARD_CAP}; got {n}"
         )
     if n > GENERATION_SOFT_CAP:
         warnings.warn(
@@ -377,14 +435,17 @@ def _generate(n: int, jobs: int) -> tuple[LoopTable, ...]:
 
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             shards = ex.map(_shard_keys, [n] * jobs, range(jobs), [jobs] * jobs)
-            seen = set().union(*shards)
+            representatives = {}
+            for shard in shards:
+                representatives.update(shard)
     else:
-        seen = _shard_keys(n, 0, 1)
-    loops = []
-    for index, key in enumerate(sorted(seen), start=1):
-        rows = tuple(tuple(key[i * n : (i + 1) * n]) for i in range(n))
-        loops.append(make_loop(rows, name=f"n{n}_{index:03d}"))
-    return tuple(loops)
+        representatives = _shard_keys(n, 0, 1)
+    # Names follow the lexicographic key, computed once per class.
+    forms = sorted(_canonical_rows(table, 0) for table in representatives.values())
+    return tuple(
+        make_loop(rows, name=f"n{n}_{index:03d}")
+        for index, rows in enumerate(forms, start=1)
+    )
 
 
 def generate_loops(
@@ -393,8 +454,11 @@ def generate_loops(
     """All loops of order n up to isomorphism, optionally filtered.
 
     Backtracking Latin-square completion over reduced tables, deduplicated
-    by canonical form (sharded over `jobs` worker processes when asked);
-    entries are sorted by canonical key and renamed ``n<order>_<index>``.
+    by `_dedupe_key`, a least relabeling over the orders that respect the
+    cycle types of each element's row and column (the table stream is
+    sharded over `jobs` worker processes when asked).  Each class's
+    canonical form is then computed once; entries are sorted by canonical
+    key and named ``n<order>_<index>``.
     Every emitted entry re-passes its filter predicates by construction of
     the flags.
     """

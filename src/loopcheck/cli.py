@@ -293,6 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"argument --jobs: must be at least 1; got {args.jobs}")
     try:
         report, code = args.fn(args)
     except (LoopError, OSError, ValueError) as err:

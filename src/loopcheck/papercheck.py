@@ -31,6 +31,7 @@ from .perms import invert
 from .report import AnalysisReport, one_based
 from .structure import co1_violation, theorem31_violation
 from .table import (
+    LoopError,
     LoopTable,
     is_power_associative,
     is_uniquely_2_divisible,
@@ -77,8 +78,16 @@ class CriterionResult:
 
 
 def build_context(max_order: int = 6, seed: int = 0, jobs: int = 1) -> SuiteContext:
+    # Below 1 the catalog is empty and every criterion would pass vacuously;
+    # above the soft cap no catalog is generated, so the run would be the
+    # soft cap's run under another name.
+    if not 1 <= max_order <= cat.GENERATION_SOFT_CAP:
+        raise LoopError(
+            f"papercheck takes a max order from 1 to {cat.GENERATION_SOFT_CAP}; "
+            f"got {max_order}"
+        )
     ctx = SuiteContext(max_order=max_order, seed=seed)
-    for n in range(1, min(max_order, cat.GENERATION_SOFT_CAP) + 1):
+    for n in range(1, max_order + 1):
         ctx.generated[n] = cat.generate_loops(n, jobs=jobs)
     ctx.builtins = list(cat.builtin_loops())
     return ctx

@@ -3,6 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from loopcheck.catalog import (
     LoopFileError,
+    _canonical_rows,
+    _dedupe_key,
     _generate,
     are_isomorphic,
     builtin_loop,
@@ -168,9 +170,42 @@ def test_generated_entries_pairwise_non_isomorphic(catalog5):
             assert canonical_key(e1.loop) != canonical_key(e2.loop)
 
 
-def test_generated_entries_are_canonical(catalog5):
-    for e in catalog5:
+def test_generated_entries_are_canonical(catalog6):
+    for e in catalog6:
         assert canonical_form(e.loop).table == e.loop.table
+    keys = [canonical_key(e.loop) for e in catalog6]
+    assert len(set(keys)) == len(keys)
+    assert keys == sorted(keys)
+    assert [e.name for e in catalog6] == [
+        f"n6_{index:03d}" for index in range(1, len(keys) + 1)
+    ]
+
+
+def test_dedupe_key_splits_like_canonical_key():
+    for n in range(1, 6):
+        pairs = {
+            (_dedupe_key(table), _canonical_rows(table, 0))
+            for table in reduced_tables(n)
+        }
+        dedupe_keys = {d for d, _ in pairs}
+        canonical_keys = {c for _, c in pairs}
+        assert len(pairs) == len(dedupe_keys) == len(canonical_keys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_dedupe_key_is_isomorphism_invariant(catalog6, data):
+    loops = [e.loop for e in catalog6] + [example21_dot(), builtin_loop("c2xc2xc2")]
+    L = data.draw(st.sampled_from(loops))
+    sigma = [0, *data.draw(st.permutations(range(1, L.order)))]
+    inv = [0] * L.order
+    for i, v in enumerate(sigma):
+        inv[v] = i
+    relabeled = tuple(
+        tuple(sigma[L.table[inv[i]][inv[j]]] for j in L.elements)
+        for i in L.elements
+    )
+    assert _dedupe_key(relabeled) == _dedupe_key(L.table)
 
 
 def test_filters_are_consistent(catalog6):
@@ -187,6 +222,9 @@ def test_filters_are_consistent(catalog6):
 def test_generation_caps():
     with pytest.raises(OrderTooLarge):
         generate_loops(8)
+    for n in (0, -3):
+        with pytest.raises(LoopError, match="from 1 to 7"):
+            generate_loops(n)
 
 
 @settings(max_examples=25, deadline=None)

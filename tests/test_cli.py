@@ -172,6 +172,30 @@ def test_generate_over_cap(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("order", ["0", "-3"])
+def test_generate_order_below_one(capsys, order):
+    code, out, err = run(capsys, "generate", "--order", order)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: exhaustive generation takes an order from 1 to 7; got {order}\n"
+
+
+@pytest.mark.parametrize("max_order", ["0", "-2", "7"])
+def test_papercheck_max_order_out_of_range(capsys, max_order):
+    code, out, err = run(capsys, "papercheck", "--max-order", max_order)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: papercheck takes a max order from 1 to 6; got {max_order}\n"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["--jobs", jobs, "generate", "--order", "3"])
+    assert exc.value.code == 2
+    assert f"argument --jobs: must be at least 1; got {jobs}" in capsys.readouterr().err
+
+
 def test_identity_check_parse_error(tmp_path, capsys):
     ids = tmp_path / "broken.ids"
     ids.write_text("x * = y\n")
