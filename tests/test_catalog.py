@@ -1,11 +1,17 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopcheck.catalog import (
     LoopFileError,
     _canonical_rows,
+    _class_names,
     _dedupe_key,
     _generate,
+    _left_invariant,
+    _orderly_tables,
+    _standard_rows,
     are_isomorphic,
     builtin_loop,
     builtin_loops,
@@ -190,6 +196,57 @@ def test_dedupe_key_splits_like_canonical_key():
         dedupe_keys = {d for d, _ in pairs}
         canonical_keys = {c for _, c in pairs}
         assert len(pairs) == len(dedupe_keys) == len(canonical_keys)
+
+
+def _class_forms(tables):
+    representatives = {}
+    for table in tables:
+        representatives.setdefault(_dedupe_key(table), table)
+    return sorted(_canonical_rows(table, 0) for table in representatives.values())
+
+
+def test_orderly_tables_keep_every_class():
+    for n in range(1, 7):
+        assert _class_forms(_orderly_tables(n)) == _class_forms(reduced_tables(n))
+
+
+def test_standard_rows_cover_each_invariant_once():
+    for n in range(2, 8):
+        rows = _standard_rows(n)
+        for row in rows:
+            assert sorted(row) == list(range(n))
+            assert row[0] == 1
+            assert all(row[x] != x for x in range(n))
+        invariants = [_left_invariant(row) for row in rows]
+        assert invariants == sorted(set(invariants))
+        derangements = {
+            _left_invariant(p)
+            for p in permutations(range(n))
+            if p[0] == 1 and all(p[x] != x for x in range(n))
+        }
+        assert set(invariants) == derangements
+
+
+def test_class_names_sort_as_indices():
+    assert _class_names(6, 109)[::108] == ["n6_001", "n6_109"]
+    assert _class_names(7, 999)[-1] == "n7_999"
+    names = _class_names(7, 23746)
+    assert names[::23745] == ["n7_00001", "n7_23746"]
+    assert names == sorted(names)
+
+
+@pytest.mark.slow
+def test_generate_order7():
+    with pytest.warns(UserWarning, match="151,884 tables"):
+        catalog7 = generate_loops(7)
+    assert len(catalog7) == 23746
+    tables = [e.loop.table for e in catalog7]
+    assert tables == sorted(set(tables))
+    for e in catalog7[::1000]:
+        assert canonical_form(e.loop).table == e.loop.table
+    names = [e.name for e in catalog7]
+    assert names == sorted(set(names))
+    assert names[::23745] == ["n7_00001", "n7_23746"]
 
 
 @settings(max_examples=60, deadline=None)
