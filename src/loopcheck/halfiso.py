@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .table import LoopTable, LoopError, is_flexible, is_power_associative
-from .perms import Perm, compose, invert, is_automorphic
+from .perms import Perm, bijection_search, compose, invert, is_automorphic
 from .structure import co1_violation, satisfies_co1
 from .report import AnalysisReport, one_based
 
@@ -262,105 +262,63 @@ def enumerate_half_isos(
     """Yield every half-isomorphism Q -> R exactly once, in lexicographic
     order of the image tuple.
 
-    naive:  depth-first search over bijections, checking the membership
-            constraint on every product whose three participants are
-            assigned.  No other knowledge is used; this is the oracle mode.
-    pruned: additionally pins identity to identity (f(e) = f(e)^2 forces
-            f(e) = e) and propagates the two-candidate constraint from each
-            assigned pair into the domain of the (not yet assigned) product;
-            both are sound in every loop.  When both loops are
-            power-associative, where f commutes with powers, it also matches
-            element orders and forces f(x^-1) = f(x)^-1.
+    naive:  `_naive_half_isos`, depth-first search over bijections that uses
+            nothing but the definition; this is the oracle mode.
+    pruned: `perms.bijection_search` with f(a*b) in {f(a)f(b), f(b)f(a)}
+            as the allowed products: the same propagating search as
+            `perms.isomorphisms`, which allows f(a)f(b) alone.
     """
     if Q.order != R.order:
         raise ValueError("half-isomorphisms need equal orders")
     if mode not in ("naive", "pruned"):
         raise ValueError(f"unknown mode {mode!r}")
-    pruned = mode == "pruned"
+    if mode == "naive":
+        images = _naive_half_isos(Q, R)
+    else:
+        t = R.table
+        allowed = [
+            [1 << w | 1 << t[v][u] for v, w in enumerate(row)] for u, row in enumerate(t)
+        ]
+        images = bijection_search(Q, R, allowed)
+    for image in images:
+        yield HalfIso(Q, R, image)
+
+
+def _naive_half_isos(Q: LoopTable, R: LoopTable) -> Iterator[tuple[int, ...]]:
+    """Every half-isomorphism Q -> R as an image tuple, lexicographically.
+
+    Assigns images in index order, each image in increasing order, and
+    checks each triple (a, b, a*b) once, when the last of its three
+    elements is assigned.  Nothing but the definition is used.
+    """
     n = Q.order
     tq, tr = Q.table, R.table
+    completed: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            c = tq[a][b]
+            completed[max(a, b, c)].append((a, b, c))
     f = [-1] * n
     used = [False] * n
-
-    # pairs (p, q) by their product, for the completed-pair check
-    by_product: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for p in range(n):
-        for q in range(n):
-            by_product[tq[p][q]].append((p, q))
-
-    domains = [set(range(n)) for _ in range(n)]
-    invq = invr = None
-    if pruned:
-        domains[Q.identity] = {R.identity}
-        if is_power_associative(Q) and is_power_associative(R):
-            ordq, ordr = Q.order_table, R.order_table
-            domains = [
-                {v for v in range(n) if ordr[v] == ordq[a]} for a in range(n)
-            ]
-            invq, invr = Q.inverse_table, R.inverse_table
-
-    def feasible(i: int, trail: list[tuple[int, int]]) -> bool:
-        # With f[i] just assigned, check every membership constraint that is
-        # now complete and, in pruned mode, narrow domains of future
-        # products.  `trail` records domain removals for undo.
-        fi = f[i]
-        for a in range(i + 1):
-            fa = f[a]
-            for p, q, fp, fq in ((i, a, fi, fa), (a, i, fa, fi)):
-                c = tq[p][q]
-                w1, w2 = tr[fp][fq], tr[fq][fp]
-                fc = f[c]
-                if fc >= 0:
-                    if fc != w1 and fc != w2:
-                        return False
-                elif pruned:
-                    dom = domains[c]
-                    for v in tuple(dom):
-                        if v != w1 and v != w2:
-                            dom.discard(v)
-                            trail.append((c, v))
-                    if not dom:
-                        return False
-                if p == q:
-                    break
-        if invq is not None:
-            j = invq[i]
-            if f[j] < 0:
-                dom = domains[j]
-                keep = invr[fi]
-                for v in tuple(dom):
-                    if v != keep:
-                        dom.discard(v)
-                        trail.append((j, v))
-                if not dom:
-                    return False
-        elif not pruned:
-            # products of earlier pairs that land on i become checkable now
-            for p, q in by_product[i]:
-                if p <= i and q <= i and (fp := f[p]) >= 0 and (fq := f[q]) >= 0:
-                    if fi != tr[fp][fq] and fi != tr[fq][fp]:
-                        return False
-        return True
 
     def search(i: int) -> Iterator[tuple[int, ...]]:
         if i == n:
             yield tuple(f)
             return
-        for v in sorted(domains[i]):
+        for v in range(n):
             if used[v]:
                 continue
             f[i] = v
-            used[v] = True
-            trail: list[tuple[int, int]] = []
-            if feasible(i, trail):
+            for a, b, c in completed[i]:
+                fa, fb, fc = f[a], f[b], f[c]
+                if fc != tr[fa][fb] and fc != tr[fb][fa]:
+                    break
+            else:
+                used[v] = True
                 yield from search(i + 1)
-            for c, removed in trail:
-                domains[c].add(removed)
-            f[i] = -1
-            used[v] = False
+                used[v] = False
 
-    for image in search(0):
-        yield HalfIso(Q, R, image)
+    yield from search(0)
 
 
 # ---------------------------------------------------------------------------

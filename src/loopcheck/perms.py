@@ -132,7 +132,7 @@ def mlt_group(L: LoopTable) -> PermGroup:
 
 
 def inn_group(L: LoopTable) -> PermGroup:
-    grp = group_closure(p for _, p in inner_generators(L))
+    grp = group_closure(_distinct_inner_mappings(L))
     e = L.identity
     if any(p[e] != e for p in grp.elements):
         raise LoopError("inner closure moved the identity")
@@ -157,6 +157,15 @@ def is_automorphism(L: LoopTable, p: Perm) -> bool:
 
 
 @per_loop
+def _distinct_inner_mappings(L: LoopTable) -> dict[Perm, str]:
+    """Each distinct inner generator, in generator order, with its first label."""
+    first: dict[Perm, str] = {}
+    for label, p in inner_generators(L):
+        first.setdefault(p, label)
+    return first
+
+
+@per_loop
 def automorphic_violation(L: LoopTable) -> tuple[str, tuple[int, int]] | None:
     """First inner generator that is not an automorphism, with its witness pair.
 
@@ -164,10 +173,7 @@ def automorphic_violation(L: LoopTable) -> tuple[str, tuple[int, int]] | None:
     contain the inner mapping group exactly when they contain its generators.
     Each distinct mapping is checked once, under its first label.
     """
-    first: dict[Perm, str] = {}
-    for label, p in inner_generators(L):
-        first.setdefault(p, label)
-    for p, label in first.items():
+    for p, label in _distinct_inner_mappings(L).items():
         w = automorphism_violation(L, p)
         if w is not None:
             return (label, w)
@@ -178,91 +184,115 @@ def is_automorphic(L: LoopTable) -> bool:
     return automorphic_violation(L) is None
 
 
+def bijection_search(
+    L1: LoopTable,
+    L2: LoopTable,
+    allowed: list[list[int]],
+    fixed: Iterable[tuple[int, int]] = (),
+) -> Iterator[Perm]:
+    """Yield, in lexicographic order, every bijection f: L1 -> L2 with
+    f(a*b) in ``allowed[f(a)][f(b)]`` for all a, b.
+
+    ``allowed[u][v]`` is a bit mask over L2 within {u*v, v*u}, so every such
+    f is a half-isomorphism and the rules sound for those prune the search:
+    f(e) = e, and for power-associative pairs f keeps element orders.  Once
+    both factors of a product are assigned, its domain narrows to the
+    allowed mask, and a domain left with one image is assigned at once.
+    Along the powers of x this assigns f(x^-1) = f(x)^-1 in power-associative
+    pairs.  `fixed` holds (a, v) pins, assigned after the identity.  The
+    search branches on the least unassigned element, images in increasing
+    order, so all results below a node share the prefix before it: the
+    order stays lexicographic although propagation assigns out of index
+    order.  Loops of unequal order yield nothing.
+    """
+    if L1.order != L2.order:
+        return
+    n = L1.order
+    t1 = L1.table
+    bits = [1 << w for w in range(n)]
+    if is_power_associative(L1) and is_power_associative(L2):
+        by_order: dict[int, int] = {}
+        for v, k in enumerate(L2.order_table):
+            by_order[k] = by_order.get(k, 0) | bits[v]
+        domains = [by_order.get(k, 0) for k in L1.order_table]
+    else:
+        domains = [(1 << n) - 1] * n
+    image_of = {b: w for w, b in enumerate(bits)}
+
+    def assign(f: list[int], dom: list[int], taken: list[bool], a: int, v: int) -> bool:
+        # In place, assign f[a] = v, narrow the domain of every product that
+        # completes, and assign each domain left with one image.  False when
+        # some constraint fails.
+        if f[a] >= 0:
+            return f[a] == v
+        if taken[v] or not dom[a] & bits[v]:
+            return False
+        f[a] = v
+        taken[v] = True
+        queue = [a]
+        while queue:
+            x = queue.pop()
+            fx = f[x]
+            tx, row = t1[x], allowed[fx]
+            for y, fy in enumerate(f):
+                if fy < 0:
+                    continue
+                for c, mask in ((tx[y], row[fy]), (t1[y][x], allowed[fy][fx])):
+                    fc = f[c]
+                    if fc >= 0:
+                        if not mask & bits[fc]:
+                            return False
+                        continue
+                    d = dom[c] & mask
+                    if not d:
+                        return False
+                    dom[c] = d
+                    w = image_of.get(d)
+                    if w is not None:
+                        if taken[w]:
+                            return False
+                        f[c] = w
+                        taken[w] = True
+                        queue.append(c)
+        return True
+
+    def search(f: list[int], dom: list[int], taken: list[bool]) -> Iterator[Perm]:
+        if -1 not in f:
+            yield tuple(f)
+            return
+        x = f.index(-1)
+        images = dom[x]
+        while images:
+            low = images & -images
+            images ^= low
+            g, d, t = f[:], dom[:], taken[:]
+            if assign(g, d, t, x, image_of[low]):
+                yield from search(g, d, t)
+
+    f, taken = [-1] * n, [False] * n
+    pins = ((L1.identity, L2.identity), *fixed)
+    if all(assign(f, domains, taken, a, v) for a, v in pins):
+        yield from search(f, domains, taken)
+
+
 def isomorphisms(
     L1: LoopTable, L2: LoopTable, fixed: Iterable[tuple[int, int]] = ()
 ) -> Iterator[Perm]:
     """Yield every isomorphism L1 -> L2 as an image tuple, lexicographically.
 
-    Backtracking over images with the identity pinned, forced propagation of
-    partial products, and (for power-associative pairs) pruning by element
-    order.  `fixed` holds (a, v) pairs: they are pinned and propagated right
-    after the identity, so exactly the isomorphisms sending every such a to
-    its v are yielded, still in lexicographic order.  Pairs that no
-    isomorphism extends yield nothing.
+    `bijection_search` with f(a*b) = f(a)f(b) the only allowed product.
+    `fixed` holds (a, v) pairs: exactly the isomorphisms sending every such a
+    to its v are yielded, still in lexicographic order.  Pairs that no
+    isomorphism extends, and loops of unequal order, yield nothing.
     """
-    if L1.order != L2.order:
-        return
-    n = L1.order
-    t1, t2 = L1.table, L2.table
-    sigma = [-1] * n
-    taken = [False] * n
+    yield from bijection_search(L1, L2, _product_masks(L2), fixed)
 
-    if is_power_associative(L1) and is_power_associative(L2):
-        ord1 = [L1.element_order(a) for a in range(n)]
-        ord2 = [L2.element_order(a) for a in range(n)]
-        candidates = [
-            tuple(v for v in range(n) if ord2[v] == ord1[a]) for a in range(n)
-        ]
-    else:
-        candidates = [tuple(range(n))] * n
 
-    def assign(a: int, v: int, trail: list[int]) -> bool:
-        # Assign sigma[a] = v, then propagate all products that become
-        # determined; record assignments in trail for undo.
-        if sigma[a] >= 0:
-            return sigma[a] == v
-        if taken[v]:
-            return False
-        sigma[a] = v
-        taken[v] = True
-        trail.append(a)
-        queue = [a]
-        while queue:
-            x = queue.pop()
-            sx = sigma[x]
-            for y in range(n):
-                sy = sigma[y]
-                if sy < 0:
-                    continue
-                for (p, q, sp, sq) in ((x, y, sx, sy), (y, x, sy, sx)):
-                    c = t1[p][q]
-                    w = t2[sp][sq]
-                    sc = sigma[c]
-                    if sc < 0:
-                        if taken[w]:
-                            return False
-                        sigma[c] = w
-                        taken[w] = True
-                        trail.append(c)
-                        queue.append(c)
-                    elif sc != w:
-                        return False
-        return True
-
-    def undo(trail: list[int]) -> None:
-        for a in trail:
-            taken[sigma[a]] = False
-            sigma[a] = -1
-
-    def extend() -> Iterator[Perm]:
-        free = next((a for a in range(n) if sigma[a] < 0), -1)
-        if free < 0:
-            yield tuple(sigma)
-            return
-        for v in candidates[free]:
-            if taken[v]:
-                continue
-            trail: list[int] = []
-            if assign(free, v, trail):
-                yield from extend()
-            undo(trail)
-
-    seed: list[int] = []
-    if assign(L1.identity, L2.identity, seed) and all(
-        assign(a, v, seed) for a, v in fixed
-    ):
-        yield from extend()
-    undo(seed)
+@per_loop
+def _product_masks(L: LoopTable) -> list[list[int]]:
+    """``[u][v]``: the bit of u*v."""
+    bits = [1 << w for w in L.elements]
+    return [[bits[w] for w in row] for row in L.table]
 
 
 def _generating_sequence(L: LoopTable) -> tuple[int, ...]:

@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from loopcheck.perms import (
     mlt_group,
 )
 from loopcheck.catalog import builtin_loop, builtin_loops, generate_loops
+from loopcheck.halfiso import classify, enumerate_half_isos
 from loopcheck.table import cyclic_group, make_loop, multiplication_closure
 
 perms7 = st.permutations(range(7))
@@ -208,6 +210,27 @@ def test_isomorphisms_count(c7, star):
     assert sum(1 for _ in isomorphisms(c7, star)) == 6
     maps = list(isomorphisms(c7, star))
     assert maps == sorted(maps)  # lexicographic order
+
+
+def test_isomorphisms_match_naive_half_isomorphisms(c7, star, dot):
+    # the naive oracle uses only the definition of a half-isomorphism
+    loops = small_loops(5) + [c7, star, dot]
+    for L1 in loops:
+        for L2 in loops:
+            if L1.order != L2.order:
+                continue
+            want = [
+                f.mapping
+                for f in enumerate_half_isos(L1, L2, "naive")
+                if classify(f).is_isomorphism
+            ]
+            assert list(isomorphisms(L1, L2)) == want, (L1, L2)
+
+
+def test_isomorphism_entry_points_are_generators(c5, c7):
+    assert list(isomorphisms(c5, c7)) == []
+    assert inspect.isgeneratorfunction(isomorphisms)
+    assert inspect.isgeneratorfunction(enumerate_half_isos)
 
 
 def test_pinned_isomorphisms_match_filtered_enumeration(s3):
