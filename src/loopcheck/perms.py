@@ -13,6 +13,7 @@ from typing import Iterable, Iterator
 from .table import (
     LoopError,
     LoopTable,
+    _getter,
     is_power_associative,
     multiplication_closure,
     per_loop,
@@ -32,9 +33,10 @@ def apply(p: Perm, x: int) -> int:
 
 
 def compose(p: Perm, q: Perm) -> Perm:
+    """p then q: the tuple of q read at each entry of p, built in C."""
     if len(p) != len(q):
         raise ValueError(f"degree mismatch: {len(p)} vs {len(q)}")
-    return tuple(q[v] for v in p)
+    return _getter(p)(q)
 
 
 def invert(p: Perm) -> Perm:
@@ -64,9 +66,13 @@ class PermGroup:
 def group_closure(perms, degree: int | None = None) -> PermGroup:
     """Breadth-first closure of permutations under composition.
 
-    Closure under inversion is automatic for finite permutation sets.  If the
-    element count would exceed `CLOSURE_CAP` the search stops with
-    ``truncated=True`` (the returned set is then not necessarily closed).
+    Each frontier element p is extended to ``compose(g, p)`` (g acts first)
+    for every generator g, through one `_getter` per generator.  Level k
+    holds the products of k generators not reached at a lower level: the
+    same sets as extending to ``compose(p, g)`` would give.  Closure under
+    inversion is automatic for finite permutation sets.  If the element
+    count would exceed `CLOSURE_CAP` the search stops with ``truncated=True``
+    (the returned set is then not necessarily closed).
     """
     gens = tuple(dict.fromkeys(perms))
     if not gens:
@@ -79,14 +85,15 @@ def group_closure(perms, degree: int | None = None) -> PermGroup:
     if any(len(p) != deg for p in gens):
         raise ValueError("generators have mixed degrees")
 
+    gets = [_getter(g) for g in gens]
     elements = {identity_perm(deg)}
     frontier = list(elements)
     truncated = False
     while frontier and not truncated:
         new = []
         for p in frontier:
-            for g in gens:
-                q = tuple(g[v] for v in p)
+            for get in gets:
+                q = get(p)
                 if q not in elements:
                     elements.add(q)
                     new.append(q)
@@ -105,24 +112,29 @@ def inner_generators(L: LoopTable) -> list[tuple[str, Perm]]:
     For every pair x, y this yields the right and left inner mappings
     R(x,y) = Rx Ry R(x*y)^-1 and L(x,y) = Lx Ly L(y*x)^-1, and for every x
     the middle mapping T(x) = Rx Lx^-1.  All of them fix the identity.
-    Labels use 1-based element names.
+    Labels use 1-based element names.  Each mapping is two C compositions
+    through translation getters built once per call: R(x,y) is
+    ``rget[x](rget[y](R(x*y)^-1))``, and L(x,y) and T(x) likewise.
     """
     n = L.order
+    t = L.table
     rights = [L.right_translation(a) for a in range(n)]
     lefts = [L.left_translation(a) for a in range(n)]
     rights_inv = [invert(p) for p in rights]
     lefts_inv = [invert(p) for p in lefts]
+    rget = [_getter(p) for p in rights]
+    lget = [_getter(p) for p in lefts]
     out = []
     for x in range(n):
         for y in range(n):
-            p = compose(compose(rights[x], rights[y]), rights_inv[L.table[x][y]])
+            p = rget[x](rget[y](rights_inv[t[x][y]]))
             out.append((f"R({x + 1},{y + 1})", p))
     for x in range(n):
         for y in range(n):
-            p = compose(compose(lefts[x], lefts[y]), lefts_inv[L.table[y][x]])
+            p = lget[x](lget[y](lefts_inv[t[y][x]]))
             out.append((f"L({x + 1},{y + 1})", p))
     for x in range(n):
-        out.append((f"T({x + 1})", compose(rights[x], lefts_inv[x])))
+        out.append((f"T({x + 1})", rget[x](lefts_inv[x])))
     return out
 
 
@@ -140,15 +152,19 @@ def inn_group(L: LoopTable) -> PermGroup:
 
 
 def automorphism_violation(L: LoopTable, p: Perm) -> tuple[int, int] | None:
-    """Least pair (a, b) with p(a*b) != p(a)*p(b), or None."""
+    """Least pair (a, b) with p(a*b) != p(a)*p(b), or None.
+
+    Compares whole rows p(a*-) and p(a)*p(-) in C; only a row that differs
+    is scanned for its least b.
+    """
     if len(p) != L.order:
         raise ValueError(f"degree mismatch: {len(p)} vs {L.order}")
     t = L.table
-    for a in L.elements:
-        pa = p[a]
-        for b in L.elements:
-            if p[t[a][b]] != t[pa][p[b]]:
-                return (a, b)
+    pget = _getter(p)
+    for a, row in enumerate(t):
+        lhs, rhs = _getter(row)(p), pget(t[p[a]])
+        if lhs != rhs:
+            return (a, next(b for b in L.elements if lhs[b] != rhs[b]))
     return None
 
 

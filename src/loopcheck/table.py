@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
+from operator import itemgetter
 
 MAX_ORDER = 64
 
@@ -231,6 +232,19 @@ def per_loop(fn):
     return memoized
 
 
+def _getter(p: tuple[int, ...]):
+    """A callable with ``_getter(p)(q) == tuple(q[v] for v in p)``.
+
+    This is ``perms.compose(p, q)`` without the degree check: an
+    `itemgetter` over p's entries, so the work runs in C.  Build it once and
+    reuse it for many q.  With fewer than two indices `itemgetter` would
+    return a scalar, so degrees 0 and 1 get a tuple-building function.
+    """
+    if len(p) < 2:
+        return lambda q: tuple(q[v] for v in p)
+    return itemgetter(*p)
+
+
 def make_loop(matrix, name: str | None = None) -> LoopTable:
     """Validate a square 0-based integer matrix as a loop Cayley table.
 
@@ -290,13 +304,19 @@ def commutativity_violation(L: LoopTable) -> tuple[int, int] | None:
 
 @per_loop
 def associativity_violation(L: LoopTable) -> tuple[int, int, int] | None:
+    """Least (a, b, c) with (a*b)*c != a*(b*c), or None.
+
+    For each (a, b), one C call compares the row of a*b with a*(b*-), read
+    as row a at the entries of row b; only a row that differs is scanned
+    for its least c.
+    """
     t = L.table
-    for a in L.elements:
-        for b in L.elements:
-            ab = t[a][b]
-            for c in L.elements:
-                if t[ab][c] != t[a][t[b][c]]:
-                    return (a, b, c)
+    row_of = [_getter(row) for row in t]
+    for a, row in enumerate(t):
+        for b, ab in enumerate(row):
+            lhs, rhs = t[ab], row_of[b](row)
+            if lhs != rhs:
+                return (a, b, next(c for c in L.elements if lhs[c] != rhs[c]))
     return None
 
 
@@ -355,9 +375,13 @@ def power_associativity_violation(L: LoopTable) -> tuple[int] | None:
         if a in passed:
             continue
         h = sorted(multiplication_closure(L, (a,)))
-        if any(t[x][y] != t[y][x] for x in h for y in h):
-            return (a,)
-        if any(t[t[x][y]][z] != t[x][t[y][z]] for x in h for y in h for z in h):
+        if len(h) == L.order:
+            # a generates L: ask the memoized whole-loop predicates
+            if not (is_commutative(L) and is_associative(L)):
+                return (a,)
+        elif any(t[x][y] != t[y][x] for x in h for y in h) or any(
+            t[t[x][y]][z] != t[x][t[y][z]] for x in h for y in h for z in h
+        ):
             return (a,)
         passed.update(h)
     return None

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from loopcheck.catalog import example21_star, example21_dot, generate_loops
+from loopcheck.catalog import builtin_loops, example21_star, example21_dot, generate_loops
 from loopcheck.table import cyclic_group, make_loop
 
 
@@ -49,3 +51,32 @@ def catalog5():
 @pytest.fixture(scope="session")
 def catalog6():
     return catalog(6)
+
+
+def _relabeled(L, seed):
+    """L with its elements renamed by a seeded random permutation."""
+    sigma = list(L.elements)
+    random.Random(seed).shuffle(sigma)
+    inv = [0] * L.order
+    for i, s in enumerate(sigma):
+        inv[s] = i
+    return make_loop(
+        [[sigma[L.table[inv[i]][inv[j]]] for j in L.elements] for i in L.elements],
+        name=f"{L.name}~{seed}",
+    )
+
+
+@pytest.fixture(scope="session")
+def oracle_loops():
+    """Inputs for the fast-path oracles: the order <= 6 catalog, the builtins,
+    and seeded relabelings of the two example tables.  The relabelings move
+    the identity off element 0, and the non-commutative dot table is the one
+    that tells L(x,y) from R(x,y)."""
+    loops = [e.loop for n in range(1, 7) for e in generate_loops(n)]
+    loops += [e.loop for e in builtin_loops()]
+    loops += [
+        _relabeled(L, seed)
+        for L in (example21_star(), example21_dot())
+        for seed in range(3)
+    ]
+    return loops

@@ -50,6 +50,31 @@ def test_analyze_aut_of_elementary_abelian_32(capsys):
     assert sizes["aut"] == 9_999_360  # |GL(5, 2)|
 
 
+# frozen text of `loopcheck analyze c1`: every degree-1 path, byte for byte
+ANALYZE_C1 = (
+    "[info] loop  loops=c1  identity=1 order=1\n"
+    "[info] predicate  loops=c1  anchor=commutative  value=True\n"
+    "[info] predicate  loops=c1  anchor=associative  value=True\n"
+    "[info] predicate  loops=c1  anchor=flexible  value=True\n"
+    "[info] predicate  loops=c1  anchor=aaip  value=True\n"
+    "[info] predicate  loops=c1  anchor=power-associative  value=True\n"
+    "[info] predicate  loops=c1  anchor=uniquely-2-divisible  value=True\n"
+    "[info] predicate  loops=c1  anchor=automorphic  value=True\n"
+    "[info] group-size  loops=c1  anchor=mlt  size=1 truncated=False\n"
+    "[info] group-size  loops=c1  anchor=inn  size=1 truncated=False\n"
+    "[info] group-size  loops=c1  anchor=aut  size=1\n"
+    "[info] condition  loops=c1  anchor=co1  value=True\n"
+    "[info] condition  loops=c1  anchor=co2  value=True\n"
+    "[info] condition  loops=c1  anchor=theorem31  value=True\n"
+)
+
+
+def test_analyze_order_one(capsys):
+    code, out, _ = run(capsys, "analyze", "c1")
+    assert code == 0
+    assert out == ANALYZE_C1
+
+
 def test_analyze_bad_file(tmp_path, capsys):
     path = tmp_path / "bad.loop"
     path.write_text("loop 2 broken\n1 1\n2 2\n")

@@ -23,7 +23,12 @@ from loopcheck.perms import (
 )
 from loopcheck.catalog import builtin_loop, builtin_loops, generate_loops
 from loopcheck.halfiso import classify, enumerate_half_isos
-from loopcheck.table import cyclic_group, make_loop, multiplication_closure
+from loopcheck.table import (
+    associativity_violation,
+    cyclic_group,
+    make_loop,
+    multiplication_closure,
+)
 
 perms7 = st.permutations(range(7))
 
@@ -81,6 +86,103 @@ def test_inner_generators_trivial_for_groups(star):
     # every R(x,y) and L(x,y) collapses in an associative loop; T is trivial
     # in a commutative one
     assert all(p == identity_perm(7) for _, p in inner_generators(star))
+
+
+def reference_inner_generators(L):
+    """R(x,y), L(x,y) and T(x) from their definitions, by division."""
+    t, E = L.table, L.elements
+    out = [
+        (f"R({x + 1},{y + 1})", tuple(L.rdiv(t[x][y], t[t[z][x]][y]) for z in E))
+        for x in E for y in E
+    ]
+    out += [
+        (f"L({x + 1},{y + 1})", tuple(L.ldiv(t[y][x], t[y][t[x][z]]) for z in E))
+        for x in E for y in E
+    ]
+    out += [(f"T({x + 1})", tuple(L.ldiv(x, t[z][x]) for z in E)) for x in E]
+    return out
+
+
+def test_inner_generators_match_definitions(oracle_loops):
+    assert any(not is_automorphic(L) for L in oracle_loops)
+    for L in oracle_loops:
+        assert inner_generators(L) == reference_inner_generators(L), L.name
+
+
+def reference_closure(gens, degree):
+    """Every product of generators, by a depth-first search."""
+    seen = {identity_perm(degree)}
+    todo = list(seen)
+    while todo:
+        p = todo.pop()
+        for g in gens:
+            q = tuple(g[v] for v in p)
+            if q not in seen:
+                seen.add(q)
+                todo.append(q)
+    return seen
+
+
+def test_group_closure_matches_reference(dot):
+    rng = random.Random(11)
+    cases = [((), 1), (((0,),), 1), ((), 2), (((0, 1),), 2), (((1, 0),), 2)]
+    for size in (1, 1, 2, 2, 3):
+        gens = []
+        for _ in range(size):
+            p = list(range(7))
+            rng.shuffle(p)
+            gens.append(tuple(p))
+        cases.append((tuple(gens), 7))
+    cases.append((tuple(p for _, p in inner_generators(dot)), 7))
+    for gens, degree in cases:
+        grp = group_closure(gens, degree=degree)
+        assert grp.degree == degree and not grp.truncated
+        assert grp.elements == reference_closure(gens, degree), gens
+
+
+def reference_automorphism_violation(L, p):
+    t = L.table
+    return next(
+        ((a, b) for a in L.elements for b in L.elements
+         if p[t[a][b]] != t[p[a]][p[b]]),
+        None,
+    )
+
+
+def test_automorphism_violation_matches_definition(oracle_loops):
+    rng = random.Random(12)
+    outcomes = set()
+    for L in oracle_loops:
+        candidates = {p for _, p in inner_generators(L)}
+        for _ in range(4):
+            p = list(L.elements)
+            rng.shuffle(p)
+            candidates.add(tuple(p))
+        for p in sorted(candidates):
+            want = reference_automorphism_violation(L, p)
+            assert automorphism_violation(L, p) == want, (L.name, p)
+            outcomes.add(want if want is None else want[0] > 0)
+    assert outcomes == {None, False, True}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_degree_one_and_two(n):
+    # a bare itemgetter over one index returns an int, not a tuple
+    L = cyclic_group(n)
+    ident = identity_perm(n)
+    gens = inner_generators(L)
+    assert gens == reference_inner_generators(L)
+    assert [p for _, p in gens] == [ident] * (2 * n * n + n)
+    assert compose(ident, ident) == ident
+    translations = {L.left_translation(a) for a in L.elements}
+    assert mlt_group(L).elements == translations
+    assert inn_group(L).elements == {ident}
+    assert group_closure([ident]).elements == {ident}
+    assert group_closure(translations).elements == translations
+    assert associativity_violation(L) is None
+    assert automorphism_violation(L, ident) is None
+    if n == 2:
+        assert automorphism_violation(L, (1, 0)) == (0, 0)
 
 
 def test_group_closure_empty():

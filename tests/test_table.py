@@ -173,6 +173,25 @@ def test_power_associativity_matches_reference():
         assert power_associativity_violation(L) == expected, L
 
 
+def reference_associativity_violation(L):
+    t = L.table
+    return next(
+        ((a, b, c) for a in L.elements for b in L.elements for c in L.elements
+         if t[t[a][b]][c] != t[a][t[b][c]]),
+        None,
+    )
+
+
+def test_associativity_violation_matches_definition(oracle_loops):
+    witnesses = []
+    for L in oracle_loops:
+        want = reference_associativity_violation(L)
+        assert associativity_violation(L) == want, L.name
+        witnesses.append(want)
+    assert None in witnesses
+    assert any(w is not None and w[2] > 0 for w in witnesses)
+
+
 def test_aaip_on_group(s3):
     assert has_aaip(s3)  # (xy)^-1 = y^-1 x^-1 holds in every group
 
