@@ -27,14 +27,13 @@ from .table import (
     squaring_map,
 )
 from .perms import (
-    PermGroup,
     StabilizerChain,
     compose,
     invert,
     apply,
     identity_perm,
     inner_generators,
-    group_closure,
+    schreier_sims,
     mlt_group,
     inn_group,
     is_automorphism,

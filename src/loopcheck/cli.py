@@ -79,11 +79,9 @@ def analyze_loop(L: LoopTable) -> AnalysisReport:
     mlt = mlt_group(L)
     inn = inn_group(L)
     aut = automorphism_group(L)
-    report.add("group-size", loops=(name,), anchor="mlt", size=len(mlt),
-               truncated=mlt.truncated)
-    report.add("group-size", loops=(name,), anchor="inn", size=len(inn),
-               truncated=inn.truncated)
-    report.add("group-size", loops=(name,), anchor="aut", size=len(aut))
+    report.add("group-size", loops=(name,), anchor="mlt", size=mlt.order)
+    report.add("group-size", loops=(name,), anchor="inn", size=inn.order)
+    report.add("group-size", loops=(name,), anchor="aut", size=aut.order)
     for anchor, violation in (
         ("co1", co1_violation(L)),
         ("co2", co2_violation(L)),

@@ -11,17 +11,15 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .table import (
-    LoopError,
     LoopTable,
     _getter,
+    is_associative,
     is_power_associative,
     multiplication_closure,
     per_loop,
 )
 
 Perm = tuple[int, ...]
-
-CLOSURE_CAP = 1_000_000
 
 
 def identity_perm(n: int) -> Perm:
@@ -46,75 +44,18 @@ def invert(p: Perm) -> Perm:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class PermGroup:
-    degree: int
-    elements: frozenset[Perm]
-    truncated: bool = False
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, p: Perm) -> bool:
-        return p in self.elements
-
-    def __repr__(self) -> str:
-        flag = ", truncated" if self.truncated else ""
-        return f"PermGroup(degree={self.degree}, size={len(self.elements)}{flag})"
-
-
-def group_closure(perms, degree: int | None = None) -> PermGroup:
-    """Breadth-first closure of permutations under composition.
-
-    Each frontier element p is extended to ``compose(g, p)`` (g acts first)
-    for every generator g, through one `_getter` per generator.  Level k
-    holds the products of k generators not reached at a lower level: the
-    same sets as extending to ``compose(p, g)`` would give.  Closure under
-    inversion is automatic for finite permutation sets.  If the element
-    count would exceed `CLOSURE_CAP` the search stops with ``truncated=True``
-    (the returned set is then not necessarily closed).
-    """
-    gens = tuple(dict.fromkeys(perms))
-    if not gens:
-        if degree is None:
-            raise ValueError("degree is required when there are no generators")
-        return PermGroup(degree, frozenset({identity_perm(degree)}))
-    deg = len(gens[0])
-    if degree is not None and degree != deg:
-        raise ValueError(f"degree mismatch: {degree} vs {deg}")
-    if any(len(p) != deg for p in gens):
-        raise ValueError("generators have mixed degrees")
-
-    gets = [_getter(g) for g in gens]
-    elements = {identity_perm(deg)}
-    frontier = list(elements)
-    truncated = False
-    while frontier and not truncated:
-        new = []
-        for p in frontier:
-            for get in gets:
-                q = get(p)
-                if q not in elements:
-                    elements.add(q)
-                    new.append(q)
-                    if len(elements) > CLOSURE_CAP:
-                        truncated = True
-                        break
-            if truncated:
-                break
-        frontier = new
-    return PermGroup(deg, frozenset(elements), truncated)
-
-
-def inner_generators(L: LoopTable) -> list[tuple[str, Perm]]:
-    """The standard inner mapping generators, each labeled with its arguments.
+def inner_generators(L: LoopTable) -> Iterator[tuple[str, Perm]]:
+    """Yield the standard inner mapping generators, each labeled with its
+    arguments.
 
     For every pair x, y this yields the right and left inner mappings
     R(x,y) = Rx Ry R(x*y)^-1 and L(x,y) = Lx Ly L(y*x)^-1, and for every x
     the middle mapping T(x) = Rx Lx^-1.  All of them fix the identity.
     Labels use 1-based element names.  Each mapping is two C compositions
     through translation getters built once per call: R(x,y) is
-    ``rget[x](rget[y](R(x*y)^-1))``, and L(x,y) and T(x) likewise.
+    ``rget[x](rget[y](R(x*y)^-1))``, and L(x,y) and T(x) likewise.  The
+    mappings are built as they are yielded, so a caller that stops early
+    builds no more of them.
     """
     n = L.order
     t = L.table
@@ -124,31 +65,184 @@ def inner_generators(L: LoopTable) -> list[tuple[str, Perm]]:
     lefts_inv = [invert(p) for p in lefts]
     rget = [_getter(p) for p in rights]
     lget = [_getter(p) for p in lefts]
-    out = []
     for x in range(n):
         for y in range(n):
-            p = rget[x](rget[y](rights_inv[t[x][y]]))
-            out.append((f"R({x + 1},{y + 1})", p))
+            yield f"R({x + 1},{y + 1})", rget[x](rget[y](rights_inv[t[x][y]]))
     for x in range(n):
         for y in range(n):
-            p = lget[x](lget[y](lefts_inv[t[y][x]]))
-            out.append((f"L({x + 1},{y + 1})", p))
+            yield f"L({x + 1},{y + 1})", lget[x](lget[y](lefts_inv[t[y][x]]))
     for x in range(n):
-        out.append((f"T({x + 1})", rget[x](lefts_inv[x])))
-    return out
+        yield f"T({x + 1})", rget[x](lefts_inv[x])
 
 
-def mlt_group(L: LoopTable) -> PermGroup:
-    return group_closure([*map(L.left_translation, L.elements),
-                          *map(L.right_translation, L.elements)])
+@dataclass(frozen=True)
+class StabilizerChain:
+    """A permutation group as a stabilizer chain along `base`.
+
+    ``orbits[i]`` is the orbit of ``base[i]`` under the stabilizer of
+    ``base[:i]``, and the `generators` that fix ``base[:i]`` generate that
+    stabilizer (a strong generating set).  Only the identity fixes every
+    base point, so the group's order is the product of the orbit lengths.
+    """
+    degree: int
+    base: tuple[int, ...]
+    orbits: tuple[frozenset[int], ...]
+    generators: tuple[Perm, ...]
+
+    @property
+    def order(self) -> int:
+        """The exact order.  It is not ``len()``, which fails past
+        ``sys.maxsize``: |S_21| is already larger."""
+        return math.prod(map(len, self.orbits))
 
 
-def inn_group(L: LoopTable) -> PermGroup:
-    grp = group_closure(_distinct_inner_mappings(L))
+class _Level:
+    """One level of a chain under construction.
+
+    `gens` are the strong generators that fix the base points above `point`,
+    and ``ginv_get[m]`` is a getter of the inverse of ``gens[m]``.  For each
+    `orbit` point b, ``get[b]`` is a getter of the transversal element u_b,
+    which sends `point` to b, and ``uinv[b]`` is the inverse of u_b.
+    ``checked[m]`` counts the orbit points, in `orbit` order, whose Schreier
+    generator with ``gens[m]`` has been sifted.
+    """
+
+    __slots__ = ("point", "gens", "ginv_get", "orbit", "get", "uinv", "checked")
+
+    def __init__(self, point: int, ident: Perm):
+        self.point = point
+        self.gens: list[Perm] = []
+        self.ginv_get: list = []
+        self.orbit = [point]
+        self.get = {point: _getter(ident)}
+        self.uinv = {point: ident}
+        self.checked: list[int] = []
+
+    def add(self, g: Perm) -> None:
+        """Add a strong generator and extend the orbit and transversal."""
+        gens, get, uinv, orbit = self.gens, self.get, self.uinv, self.orbit
+        gens.append(g)
+        self.ginv_get.append(_getter(invert(g)))
+        self.checked.append(0)
+        todo = [(b, len(gens) - 1) for b in orbit]
+        while todo:
+            b, m = todo.pop()
+            c = gens[m][b]
+            if c not in get:
+                get[c] = _getter(get[b](gens[m]))
+                uinv[c] = self.ginv_get[m](uinv[b])
+                orbit.append(c)
+                todo.extend((c, k) for k in range(len(gens)))
+
+    def failing_schreier_generator(self, below: list[_Level], ident: Perm):
+        """Sift the unchecked Schreier generators through the levels `below`.
+
+        The Schreier generator of orbit point b and generator x is
+        u_b x u_c^-1 with c = x(b); its inverse u_c x^-1 u_b^-1 is sifted,
+        which is two getter calls.  Returns the first residue that is not
+        the identity, with the index in `below` where sifting stopped, or
+        None when every pair sifts to the identity.
+        """
+        get, uinv, orbit, checked = self.get, self.uinv, self.orbit, self.checked
+        for m, x in enumerate(self.gens):
+            xinv_get = self.ginv_get[m]
+            while checked[m] < len(orbit):
+                b = orbit[checked[m]]
+                checked[m] += 1
+                h, j = _sift(below, get[x[b]](xinv_get(uinv[b])), ident)
+                if h != ident:
+                    return h, j
+        return None
+
+
+def _sift(levels: list[_Level], p: Perm, ident: Perm) -> tuple[Perm, int]:
+    """Strip p through `levels`: the residue and the index of the level whose
+    orbit misses it, or ``len(levels)`` when p passes every level.
+
+    Each level multiplies on the left: with p(b) the level's point, p becomes
+    u_b p, which fixes it.  The residue is in the group exactly when p is, and
+    the getters of the transversal are built once, not once per step.
+    """
+    for j, level in enumerate(levels):
+        if p == ident:
+            break
+        b = p.index(level.point)
+        if b != level.point:
+            get = level.get.get(b)
+            if get is None:
+                return p, j
+            p = get(p)
+    return p, len(levels)
+
+
+def schreier_sims(gens: Iterable[Perm], degree: int, base: Iterable[int] = ()
+                  ) -> StabilizerChain:
+    """The group generated by `gens` as a stabilizer chain, deterministically.
+
+    The base starts with `base`; a residue that fixes every base point adds
+    the least point it moves.  Each distinct generator is sifted first and
+    dropped when the chain already contains it.  Otherwise its residue
+    becomes a strong generator, and the chain is completed again from the
+    deepest level that changed: at each level every Schreier generator must
+    sift to the identity through the levels below it, which are complete by
+    then (Seress, *Permutation Group Algorithms*, 2003, ch. 4).  Each pair
+    (orbit point, generator) is sifted once, because transversal entries
+    never change once set.  The chain's transversal products are distinct
+    group elements, so once the orbit lengths multiply to n! the group is
+    all of S_n and the chain is complete as it stands.  No element set is
+    held: the chain keeps one transversal and its inverse per level.
+    """
+    ident = identity_perm(degree)
+    full = math.factorial(degree)
+    levels = [_Level(b, ident) for b in base]
+    for g in dict.fromkeys(gens):
+        if len(g) != degree:
+            raise ValueError(f"degree mismatch: {len(g)} vs {degree}")
+        h, j = _sift(levels, g, ident)
+        top = 0
+        while h != ident:
+            # h fixes the base points above level j: it joins levels top..j.
+            if j == len(levels):
+                levels.append(_Level(next(x for x, y in enumerate(h) if x != y), ident))
+            for level in levels[top:j + 1]:
+                level.add(h)
+            if math.prod(len(level.orbit) for level in levels) == full:
+                break
+            # Complete the levels from j up to 0; a new residue restarts this.
+            h = ident
+            for i in range(j, -1, -1):
+                residue = levels[i].failing_schreier_generator(levels[i + 1:], ident)
+                if residue is not None:
+                    h, top, j = residue[0], i + 1, i + 1 + residue[1]
+                    break
+    gens_out = dict.fromkeys(g for level in levels for g in level.gens)
+    return StabilizerChain(
+        degree,
+        tuple(level.point for level in levels),
+        tuple(frozenset(level.orbit) for level in levels),
+        tuple(gens_out),
+    )
+
+
+@per_loop
+def mlt_group(L: LoopTable) -> StabilizerChain:
+    """Mlt(L), generated by the distinct translations (left ones first), as
+    a stabilizer chain whose base starts at the identity."""
+    translations = [*map(L.left_translation, L.elements),
+                    *map(L.right_translation, L.elements)]
+    return schreier_sims(translations, L.order, base=(L.identity,))
+
+
+def inn_group(L: LoopTable) -> StabilizerChain:
+    """Inn(L) = Mlt(L)_e: the chain of `mlt_group` below its first level.
+
+    Its strong generators are those that fix the identity, so its order is
+    exactly |Mlt| / n.
+    """
+    mlt = mlt_group(L)
     e = L.identity
-    if any(p[e] != e for p in grp.elements):
-        raise LoopError("inner closure moved the identity")
-    return grp
+    return StabilizerChain(L.order, mlt.base[1:], mlt.orbits[1:],
+                           tuple(g for g in mlt.generators if g[e] == e))
 
 
 def automorphism_violation(L: LoopTable, p: Perm) -> tuple[int, int] | None:
@@ -173,26 +267,25 @@ def is_automorphism(L: LoopTable, p: Perm) -> bool:
 
 
 @per_loop
-def _distinct_inner_mappings(L: LoopTable) -> dict[Perm, str]:
-    """Each distinct inner generator, in generator order, with its first label."""
-    first: dict[Perm, str] = {}
-    for label, p in inner_generators(L):
-        first.setdefault(p, label)
-    return first
-
-
-@per_loop
 def automorphic_violation(L: LoopTable) -> tuple[str, tuple[int, int]] | None:
     """First inner generator that is not an automorphism, with its witness pair.
 
     Checking the generators suffices: automorphisms form a group, so they
     contain the inner mapping group exactly when they contain its generators.
-    Each distinct mapping is checked once, under its first label.
+    An associative loop answers None at once: there every R(x,y) and L(x,y)
+    is the identity and T(x) is conjugation.  Otherwise the labelled
+    generators are scanned in order, each distinct mapping checked once,
+    until the first failure.
     """
-    for p, label in _distinct_inner_mappings(L).items():
-        w = automorphism_violation(L, p)
-        if w is not None:
-            return (label, w)
+    if is_associative(L):
+        return None
+    seen: set[Perm] = set()
+    for label, p in inner_generators(L):
+        if p not in seen:
+            seen.add(p)
+            w = automorphism_violation(L, p)
+            if w is not None:
+                return (label, w)
     return None
 
 
@@ -324,24 +417,6 @@ def _generating_sequence(L: LoopTable) -> tuple[int, ...]:
             base.append(a)
             closed = multiplication_closure(L, closed | {a})
     return tuple(base)
-
-
-@dataclass(frozen=True)
-class StabilizerChain:
-    """A permutation group as a stabilizer chain along `base`.
-
-    ``orbits[i]`` is the orbit of ``base[i]`` under the stabilizer of
-    ``base[:i]``, and the `generators` that fix ``base[:i]`` generate that
-    stabilizer (a strong generating set).  The group's order is the product
-    of the orbit lengths.
-    """
-    degree: int
-    base: tuple[int, ...]
-    orbits: tuple[frozenset[int], ...]
-    generators: tuple[Perm, ...]
-
-    def __len__(self) -> int:
-        return math.prod(map(len, self.orbits))
 
 
 def _orbit(point: int, perms) -> set[int]:

@@ -60,8 +60,8 @@ ANALYZE_C1 = (
     "[info] predicate  loops=c1  anchor=power-associative  value=True\n"
     "[info] predicate  loops=c1  anchor=uniquely-2-divisible  value=True\n"
     "[info] predicate  loops=c1  anchor=automorphic  value=True\n"
-    "[info] group-size  loops=c1  anchor=mlt  size=1 truncated=False\n"
-    "[info] group-size  loops=c1  anchor=inn  size=1 truncated=False\n"
+    "[info] group-size  loops=c1  anchor=mlt  size=1\n"
+    "[info] group-size  loops=c1  anchor=inn  size=1\n"
     "[info] group-size  loops=c1  anchor=aut  size=1\n"
     "[info] condition  loops=c1  anchor=co1  value=True\n"
     "[info] condition  loops=c1  anchor=co2  value=True\n"

@@ -1,17 +1,16 @@
 import inspect
+import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from loopcheck import perms
 from loopcheck.perms import (
     apply,
     automorphic_violation,
     automorphism_group,
     automorphism_violation,
     compose,
-    group_closure,
     identity_perm,
     inn_group,
     inner_generators,
@@ -20,6 +19,7 @@ from loopcheck.perms import (
     is_automorphism,
     isomorphisms,
     mlt_group,
+    schreier_sims,
 )
 from loopcheck.catalog import builtin_loop, builtin_loops, generate_loops
 from loopcheck.halfiso import classify, enumerate_half_isos
@@ -77,7 +77,7 @@ def test_translation_composition(star):
 def test_inner_generators_fix_identity(star, dot):
     for L in (star, dot):
         e = L.identity
-        gens = inner_generators(L)
+        gens = list(inner_generators(L))
         assert len(gens) == 2 * L.order**2 + L.order
         assert all(p[e] == e for _, p in gens)
 
@@ -106,7 +106,7 @@ def reference_inner_generators(L):
 def test_inner_generators_match_definitions(oracle_loops):
     assert any(not is_automorphic(L) for L in oracle_loops)
     for L in oracle_loops:
-        assert inner_generators(L) == reference_inner_generators(L), L.name
+        assert list(inner_generators(L)) == reference_inner_generators(L), L.name
 
 
 def reference_closure(gens, degree):
@@ -116,28 +116,63 @@ def reference_closure(gens, degree):
     while todo:
         p = todo.pop()
         for g in gens:
-            q = tuple(g[v] for v in p)
+            q = tuple(map(g.__getitem__, p))
             if q not in seen:
                 seen.add(q)
                 todo.append(q)
     return seen
 
 
-def test_group_closure_matches_reference(dot):
+def random_perm(rng, degree):
+    p = list(range(degree))
+    rng.shuffle(p)
+    return tuple(p)
+
+
+def test_schreier_sims_matches_reference(dot):
     rng = random.Random(11)
     cases = [((), 1), (((0,),), 1), ((), 2), (((0, 1),), 2), (((1, 0),), 2)]
-    for size in (1, 1, 2, 2, 3):
-        gens = []
-        for _ in range(size):
-            p = list(range(7))
-            rng.shuffle(p)
-            gens.append(tuple(p))
-        cases.append((tuple(gens), 7))
+    for degree in (4, 5, 6, 7, 7):
+        for size in (1, 2, 2, 3):
+            cases.append((tuple(random_perm(rng, degree) for _ in range(size)), degree))
     cases.append((tuple(p for _, p in inner_generators(dot)), 7))
     for gens, degree in cases:
-        grp = group_closure(gens, degree=degree)
-        assert grp.degree == degree and not grp.truncated
-        assert grp.elements == reference_closure(gens, degree), gens
+        chain = schreier_sims(gens, degree)
+        want = reference_closure(gens, degree)
+        assert chain.degree == degree
+        assert chain.order == len(want), gens
+        assert reference_closure(chain.generators, degree) == want, gens
+
+
+@given(st.integers(min_value=1, max_value=7).flatmap(
+    lambda d: st.tuples(st.just(d), st.lists(st.permutations(range(d)), max_size=3))))
+def test_schreier_sims_order_is_closure_size(case):
+    degree, gens = case
+    gens = [tuple(p) for p in gens]
+    assert schreier_sims(gens, degree).order == len(reference_closure(gens, degree))
+
+
+def test_chains_match_reference_closure(oracle_loops):
+    # |Mlt|, |Inn| and Inn's strong generators against closures of the
+    # translations and of the labelled inner generators
+    orders = set()
+    for L in oracle_loops:
+        n = L.order
+        if n > 7:
+            continue
+        translations = [*map(L.left_translation, L.elements),
+                        *map(L.right_translation, L.elements)]
+        inner_gens = [p for _, p in inner_generators(L)]
+        inner = reference_closure(set(inner_gens), n)
+        mlt, inn = mlt_group(L), inn_group(L)
+        assert schreier_sims(inner_gens, n).order == len(inner), L.name
+        assert mlt.order == len(reference_closure(translations, n)), L.name
+        assert inn.order == len(inner) == mlt.order // n, L.name
+        assert reference_closure(inn.generators, n) == inner, L.name
+        assert mlt.base[0] == L.identity
+        assert all(p[L.identity] == L.identity for p in inn.generators)
+        orders.add(mlt.order == math.factorial(n))
+    assert orders == {True, False}
 
 
 def reference_automorphism_violation(L, p):
@@ -170,15 +205,17 @@ def test_degree_one_and_two(n):
     # a bare itemgetter over one index returns an int, not a tuple
     L = cyclic_group(n)
     ident = identity_perm(n)
-    gens = inner_generators(L)
+    gens = list(inner_generators(L))
     assert gens == reference_inner_generators(L)
     assert [p for _, p in gens] == [ident] * (2 * n * n + n)
     assert compose(ident, ident) == ident
     translations = {L.left_translation(a) for a in L.elements}
-    assert mlt_group(L).elements == translations
-    assert inn_group(L).elements == {ident}
-    assert group_closure([ident]).elements == {ident}
-    assert group_closure(translations).elements == translations
+    mlt = mlt_group(L)
+    assert mlt.order == n
+    assert reference_closure(mlt.generators, n) == translations
+    assert inn_group(L).order == 1 and inn_group(L).generators == ()
+    assert schreier_sims([ident], n).order == 1
+    assert schreier_sims(translations, n).order == n
     assert associativity_violation(L) is None
     assert automorphism_violation(L, ident) is None
     if n == 2:
@@ -186,44 +223,104 @@ def test_degree_one_and_two(n):
 
 
 def test_group_closure_empty():
-    grp = group_closure([], degree=5)
-    assert len(grp) == 1
-    assert identity_perm(5) in grp
+    chain = schreier_sims([], 5)
+    assert chain.order == 1
+    assert chain.base == chain.generators == ()
+    assert schreier_sims([], 5, base=(2,)).orbits == (frozenset({2}),)
 
 
 def test_group_closure_closed(dot):
-    grp = inn_group(dot)
-    assert not grp.truncated
-    elements = grp.elements
+    # the strong generators of Inn close to the group the inner mappings
+    # generate; that closure is a group
+    inn = inn_group(dot)
+    elements = reference_closure(inn.generators, dot.order)
+    assert elements == reference_closure([p for _, p in inner_generators(dot)], 7)
+    assert len(elements) == inn.order
     some = sorted(elements)[:12]
     assert all(compose(p, q) in elements for p in some for q in some)
     assert all(invert(p) in elements for p in some)
 
 
-def test_group_closure_truncation(dot, monkeypatch):
-    monkeypatch.setattr(perms, "CLOSURE_CAP", 100)
-    grp = mlt_group(dot)
-    assert grp.truncated
-    assert len(grp) > 100
+def random_loop(n, seed):
+    """A loop of order n filled by backtracking: row and column 0 are the
+    identity, cells go row-major, candidates are shuffled by Random(seed)."""
+    rng = random.Random(seed)
+    t = [list(range(n))] + [[i] + [0] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        used = set(t[i][:j]) | {t[r][j] for r in range(i)}
+        candidates = [v for v in range(n) if v not in used]
+        rng.shuffle(candidates)
+        for v in candidates:
+            t[i][j] = v
+            if fill(k + 1):
+                return True
+        return False
+
+    assert fill(0)
+    return make_loop(t)
+
+
+def test_mlt_order_is_exact_past_the_old_cap():
+    # the breadth-first closure stopped at 10**6 elements; the chain is exact
+    L = random_loop(10, 1)
+    assert mlt_group(L).order == math.factorial(10) == 3_628_800
+    assert inn_group(L).order == math.factorial(9) == 362_880
+
+
+def test_order_is_exact_past_maxsize():
+    # |S_21| > sys.maxsize, so len() could not report it.  A chain built from
+    # group elements can only undercount, so reaching 21! certifies itself.
+    L = random_loop(21, 1)
+    assert mlt_group(L).order == math.factorial(21)
+    assert inn_group(L).order == math.factorial(20)
+
+
+def switched_elementary_abelian(k, switches, seed):
+    """Z_2^k with `switches` intercalates switched: each is a 2x2 subsquare at
+    rows a, a^d and columns b, b^d, with a, b, d drawn from Random(seed)."""
+    n = 1 << k
+    rng = random.Random(seed)
+    t = [[x ^ y for y in range(n)] for x in range(n)]
+    done = 0
+    while done < switches:
+        a, b, d = (rng.randrange(1, n) for _ in range(3))
+        if d in (a, b) or t[a][b] != t[a ^ d][b ^ d] or t[a][b ^ d] != t[a ^ d][b]:
+            continue
+        t[a][b], t[a][b ^ d] = t[a][b ^ d], t[a][b]
+        t[a ^ d][b], t[a ^ d][b ^ d] = t[a ^ d][b ^ d], t[a ^ d][b]
+        done += 1
+    return make_loop(t)
+
+
+def test_mlt_of_order_64_is_exact():
+    # no element of S_64 is listed: the chain holds one transversal per level
+    L = switched_elementary_abelian(6, 40, 7)
+    assert mlt_group(L).order == math.factorial(64)
+    assert inn_group(L).order == math.factorial(63)
 
 
 def test_group_sizes(star, dot):
-    assert len(mlt_group(star)) == 7
-    assert len(inn_group(star)) == 1
+    assert mlt_group(star).order == 7
+    assert inn_group(star).order == 1
     # frozen from a closure run over the printed non-associative table
-    assert len(mlt_group(dot)) == 5040
-    assert len(inn_group(dot)) == 720
+    assert mlt_group(dot).order == 5040
+    assert inn_group(dot).order == 720
 
 
 def test_mlt_size_divisible_by_order(star, dot, s3):
     for L in (star, dot, s3):
-        assert len(mlt_group(L)) % L.order == 0
+        assert mlt_group(L).order % L.order == 0
 
 
 def test_mlt_is_order_times_inn():
     # Mlt is transitive and Inn is the stabilizer of the identity
     for L in small_loops(6) + [e.loop for e in builtin_loops()]:
-        assert len(mlt_group(L)) == L.order * len(inn_group(L)), L.name
+        assert mlt_group(L).order == L.order * inn_group(L).order, L.name
 
 
 def test_is_automorphism(star, dot):
@@ -241,11 +338,11 @@ def test_is_automorphic(star, dot, s3, c5):
     assert pair is not None
 
 
-def test_automorphic_violation_is_first_failing_generator(s3):
+def test_automorphic_violation_is_first_failing_generator(s3, oracle_loops):
     # the check visits each distinct inner mapping once; scanning every
     # labelled generator must find the same first failure
     loops = [e.loop for n in range(1, 7) for e in generate_loops(n)]
-    loops += [e.loop for e in builtin_loops()] + [s3]
+    loops += [e.loop for e in builtin_loops()] + [s3] + oracle_loops
     outcomes = set()
     for L in loops:
         want = next(
@@ -259,11 +356,11 @@ def test_automorphic_violation_is_first_failing_generator(s3):
 
 
 def test_automorphism_group_sizes(star, dot, s3):
-    assert len(automorphism_group(star)) == 6
-    assert len(automorphism_group(cyclic_group(1))) == 1
-    assert len(automorphism_group(s3)) == 6
+    assert automorphism_group(star).order == 6
+    assert automorphism_group(cyclic_group(1)).order == 1
+    assert automorphism_group(s3).order == 6
     # frozen: the dot table is rigid
-    assert len(automorphism_group(dot)) == 1
+    assert automorphism_group(dot).order == 1
 
 
 def test_automorphism_group_matches_enumeration(s3):
@@ -274,7 +371,7 @@ def test_automorphism_group_matches_enumeration(s3):
     ]
     for L in loops:
         chain = automorphism_group(L)
-        assert len(chain) == sum(1 for _ in isomorphisms(L, L)), L.name
+        assert chain.order == sum(1 for _ in isomorphisms(L, L)), L.name
         assert all(is_automorphism(L, p) for p in chain.generators)
         assert multiplication_closure(L, chain.base) | {L.identity} == set(L.elements)
         for i, g in enumerate(chain.base):
@@ -286,9 +383,9 @@ def test_automorphism_group_matches_enumeration(s3):
 
 def test_automorphism_group_frozen_sizes():
     # |GL(5,2)|, |GL(6,2)|, and |Aut(Z4^3)| = |GL(3,2)| * 2^9
-    assert len(automorphism_group(builtin_loop("c2xc2xc2xc2xc2"))) == 9_999_360
-    assert len(automorphism_group(builtin_loop("c2xc2xc2xc2xc2xc2"))) == 20_158_709_760
-    assert len(automorphism_group(builtin_loop("c4xc4xc4"))) == 86_016
+    assert automorphism_group(builtin_loop("c2xc2xc2xc2xc2")).order == 9_999_360
+    assert automorphism_group(builtin_loop("c2xc2xc2xc2xc2xc2")).order == 20_158_709_760
+    assert automorphism_group(builtin_loop("c4xc4xc4")).order == 86_016
 
 
 def test_automorphism_group_matches_naive_filter(dot):
@@ -300,7 +397,7 @@ def test_automorphism_group_matches_naive_filter(dot):
         if is_automorphism(dot, (0, *rest))
     }
     assert set(isomorphisms(dot, dot)) == naive
-    assert len(automorphism_group(dot)) == len(naive)
+    assert automorphism_group(dot).order == len(naive)
 
 
 def test_automorphism_group_invariants(s3):
@@ -407,14 +504,17 @@ def test_automorphisms_commute_with_sqrt(star):
 
 
 def test_inn_subset_aut_on_automorphic(s3):
-    assert all(is_automorphism(s3, p) for p in inn_group(s3).elements)
+    inn = reference_closure(inn_group(s3).generators, s3.order)
+    assert len(inn) == inn_group(s3).order == 6
+    assert all(is_automorphism(s3, p) for p in inn)
 
 
 def test_inn_of_group_is_conjugation_closure(s3):
     from loopcheck.halfiso import conjugation_map
 
     conj = [conjugation_map(s3, x) for x in s3.elements]
-    assert group_closure(conj).elements == inn_group(s3).elements
+    inn = inn_group(s3)
+    assert reference_closure(conj, 6) == reference_closure(inn.generators, 6)
 
 
 def test_invariants_on_nonassociative_automorphic(catalog6):

@@ -200,7 +200,9 @@ def test_closure_checks_hold_on_small_catalog():
     for n in range(1, 6):
         for entry in generate_loops(n):
             L = entry.loop
-            assert all(p[L.identity] == L.identity for p in inn_group(L).elements)
+            inn = inn_group(L)
+            assert all(p[L.identity] == L.identity for p in inn.generators)
+            assert not any(L.identity in orbit for orbit in inn.orbits)
             for a in L.elements:
                 for b in L.elements:
                     assert L.identity in subloop_generated(L, {a, b}).members
