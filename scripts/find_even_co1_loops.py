@@ -7,18 +7,23 @@ odd-order automorphic loop with any even-order commutative one works), but
 the smallest witnesses are not obvious; this scan reports what the
 exhaustive catalog contains at each order.
 
-Usage: python scripts/find_even_co1_loops.py [--max-order N]
+Usage: python scripts/find_even_co1_loops.py [--max-order N]   (N in 2..7)
 """
 import argparse
 import sys
 
-from loopcheck.catalog import generate_loops
+from loopcheck.catalog import GENERATION_HARD_CAP, generate_loops
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-order", type=int, default=6)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    if not 2 <= args.max_order <= GENERATION_HARD_CAP:
+        parser.error(
+            f"argument --max-order: must lie in 2..{GENERATION_HARD_CAP}; "
+            f"got {args.max_order}"
+        )
 
     found = []
     for n in range(2, args.max_order + 1, 2):

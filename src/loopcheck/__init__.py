@@ -47,7 +47,6 @@ from .structure import (
     commutant,
     satisfies_co1,
     satisfies_co2,
-    check_theorem31,
     check_cor21,
 )
 from .identities import (

@@ -11,13 +11,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, groupby, islice, permutations, product
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .table import (
     LoopTable,
     LoopError,
     OrderTooLarge,
+    _getter,
     cyclic_group,
     direct_product,
     is_commutative,
@@ -235,96 +235,53 @@ def _cycle_type(perm) -> tuple[int, ...]:
     return tuple(lengths)
 
 
-def _cell_relabelings(table: tuple[tuple[int, ...], ...]) -> Iterator[list[int]]:
-    """The orders of a reduced table's elements that list the identity 0
-    first and then the cells in order, permuted within each cell.
+def _row1_orders(
+    table: tuple[tuple[int, ...], ...], identity: int
+) -> list[list[int]]:
+    """Every order of the elements, listing them by new label with the
+    identity first, whose relabeled inner row 1 is least.
 
-    A cell holds the non-identity elements x with one value of
-    (cycle type of L_x, cycle type of R_x); cells are ordered by that value.
-    An isomorphism maps cells onto equal cells, so it maps this candidate
-    set of one loop onto that of the other.
+    Row 1 is filled cell by cell.  A free column label branches over the
+    unlabeled elements; an unlabeled product takes the next free label, as
+    any other makes the cell larger; after each cell only the orders whose
+    value there is least stay, ties included.  Once row 1 is full every
+    element is labeled, and the least table is among these orders, since
+    it starts with the least row 1.
     """
     n = len(table)
-    invariant = {
-        x: (_cycle_type(table[x]), _cycle_type([row[x] for row in table]))
-        for x in range(1, n)
-    }
-    elements = sorted(range(1, n), key=invariant.__getitem__)
-    cells = [
-        list(cell) for _, cell in groupby(elements, key=invariant.__getitem__)
-    ]
-    # Lists, not iterators: tuples that `product` builds from iterators are
-    # resized, bypass CPython's tuple free lists and then pile up in them.
-    for parts in product(*[list(permutations(cell)) for cell in cells]):
-        yield [0, *chain.from_iterable(parts)]
-
-
-def _least_inner(
-    table: tuple[tuple[int, ...], ...], orders: Iterable[list[int]]
-) -> tuple[int, ...]:
-    """Lexicographically least relabeled inner table over the candidate
-    orders, each listing the original elements by new label with the
-    identity first.
-
-    Every candidate's row 0 and column 0 are forced, so only the inner
-    (n-1)^2 cells are compared, flattened, with early abort against the
-    best so far.
-    """
-    sigma = [0] * len(table)
-    best: list[int] | None = None
-    for order in orders:
-        for k, x in enumerate(order):
-            sigma[x] = k
-        inner = order[1:]
-        if best is None:
-            best = [sigma[table[a][b]] for a in inner for b in inner]
-            continue
-        idx = 0
-        smaller = False
-        cand: list[int] = []
-        abort = False
-        for a in inner:
-            row = table[a]
-            for b in inner:
-                v = sigma[row[b]]
-                if smaller:
-                    cand.append(v)
-                    continue
-                w = best[idx]
-                if v > w:
-                    abort = True
-                    break
-                if v < w:
-                    smaller = True
-                    cand = best[:idx]
-                    cand.append(v)
-                idx += 1
-            if abort:
-                break
-        if smaller and not abort:
-            best = cand
-    return tuple(best)
+    orders = [[identity, x] for x in range(n) if x != identity] or [[identity]]
+    for b in range(1, n):
+        cells = []
+        for order in orders:
+            if len(order) == b:
+                branches = [[*order, y] for y in range(n) if y not in order]
+            else:
+                branches = [order]
+            for order in branches:
+                product = table[order[1]][order[b]]
+                if product in order:
+                    cells.append((order.index(product), order))
+                else:
+                    cells.append((len(order), order))
+                    order.append(product)
+        least = min(value for value, _ in cells)
+        orders = [order for value, order in cells if value == least]
+    return orders
 
 
 def _canonical_rows(
     table: tuple[tuple[int, ...], ...], identity: int
 ) -> tuple[tuple[int, ...], ...]:
     """Lexicographically least relabeled table over all relabelings that send
-    the identity to label 0."""
-    n = len(table)
-    rest = [x for x in range(n) if x != identity]
-    inner = _least_inner(table, ([identity, *tail] for tail in permutations(rest)))
-    rows = [tuple(range(n))]
-    for i in range(1, n):
-        rows.append((i, *inner[(i - 1) * (n - 1) : i * (n - 1)]))
-    return tuple(rows)
+    the identity to label 0, found among the `_row1_orders`."""
+    def relabeled(order: list[int]) -> tuple[tuple[int, ...], ...]:
+        sigma = [0] * len(order)
+        for k, x in enumerate(order):
+            sigma[x] = k
+        get = _getter(order)
+        return tuple([tuple(map(sigma.__getitem__, get(r))) for r in get(table)])
 
-
-def _dedupe_key(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """A complete invariant of a reduced table: equal keys hold exactly for
-    isomorphic loops.  It is the least inner table over the cell
-    relabelings only, so it is not the lexicographic `canonical_key`."""
-    return _least_inner(table, _cell_relabelings(table))
+    return min(map(relabeled, _row1_orders(table, identity)))
 
 
 def canonical_key(L: LoopTable) -> tuple[int, ...]:
@@ -347,16 +304,12 @@ def canonical_form(L: LoopTable) -> LoopTable:
     return LoopTable(L.order, rows, 0, name=L.name)
 
 
-def find_isomorphism(L1: LoopTable, L2: LoopTable):
-    return next(isomorphisms(L1, L2), None)
-
-
 def are_isomorphic(L1: LoopTable, L2: LoopTable) -> bool:
     """Backtracking isomorphism search; independent of canonical forms and
     valid at any order."""
     if L1.order != L2.order:
         return False
-    return find_isomorphism(L1, L2) is not None
+    return next(isomorphisms(L1, L2), None) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -467,20 +420,6 @@ def _orderly_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         yield from _completions(n, row, lambda r: _left_invariant(r) >= least)
 
 
-def _shard_keys(
-    n: int, shard: int, jobs: int
-) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """One class representative per `_dedupe_key` among every `jobs`-th
-    table of `_orderly_tables(n)`, starting at index `shard`: the first table
-    seen of each class.  Each worker completes the whole orderly stream and
-    keys only its share; the tables stream, so memory holds only the keys
-    and their representatives."""
-    classes = {}
-    for table in islice(_orderly_tables(n), shard, None, jobs):
-        classes.setdefault(_dedupe_key(table), table)
-    return classes
-
-
 def _class_names(n: int, count: int) -> list[str]:
     """The names ``n<order>_<index>`` of `count` classes, the index padded to
     at least three digits and to the digits of `count`, so names sort as
@@ -489,13 +428,12 @@ def _class_names(n: int, count: int) -> list[str]:
     return [f"n{n}_{index:0{width}d}" for index in range(1, count + 1)]
 
 
-# The classes of each order generated so far, whatever `jobs` built them;
-# `_generate` refuses orders outside 1..GENERATION_HARD_CAP, so this holds
-# at most seven entries.
+# The classes of each order generated so far; `_generate` refuses orders
+# outside 1..GENERATION_HARD_CAP, so this holds at most seven entries.
 _GENERATED: dict[int, tuple[LoopTable, ...]] = {}
 
 
-def _generate(n: int, jobs: int) -> tuple[LoopTable, ...]:
+def _generate(n: int) -> tuple[LoopTable, ...]:
     if n > GENERATION_HARD_CAP:
         raise OrderTooLarge(
             f"exhaustive generation is capped at order {GENERATION_HARD_CAP}"
@@ -508,45 +446,30 @@ def _generate(n: int, jobs: int) -> tuple[LoopTable, ...]:
     if n > GENERATION_SOFT_CAP:
         warnings.warn(
             "exhaustive generation at order 7 completes 151,884 tables and "
-            "names 23,746 classes; expect about a minute",
+            "names 23,746 classes; expect about 30 seconds",
             stacklevel=2,
         )
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            shards = ex.map(_shard_keys, [n] * jobs, range(jobs), [jobs] * jobs)
-            representatives = {}
-            for shard in shards:
-                representatives.update(shard)
-    else:
-        representatives = _shard_keys(n, 0, 1)
-    # Names follow the lexicographic key, computed once per class.
-    forms = sorted(_canonical_rows(table, 0) for table in representatives.values())
+    forms = sorted({_canonical_rows(table, 0) for table in _orderly_tables(n)})
     names = _class_names(n, len(forms))
     return tuple(make_loop(rows, name=name) for rows, name in zip(forms, names))
 
 
-def generate_loops(
-    n: int, filters: tuple[str, ...] = (), jobs: int = 1
-) -> list[CatalogEntry]:
+def generate_loops(n: int, filters: tuple[str, ...] = ()) -> list[CatalogEntry]:
     """All loops of order n up to isomorphism, optionally filtered.
 
     Backtracking Latin-square completion streams the reduced tables whose
     row 1 is a fixed standard row for each (cycle type of L_1, length of its
     cycle through the identity) and whose other rows have no smaller such
     invariant (`_orderly_tables`): at least one table per class, 462 at
-    order 6 and 151,884 at order 7.  They are deduplicated by `_dedupe_key`,
-    a least relabeling over the orders that respect the cycle types of each
-    element's row and column (the stream is sharded over `jobs` worker
-    processes when asked).  Each class's canonical form is then computed
-    once; entries are sorted by canonical key and named
-    ``n<order>_<index>``.
+    order 6 and 151,884 at order 7.  Each table is replaced by its
+    canonical form, the least relabeling among those whose inner row 1 is
+    least (`_canonical_rows`), and the distinct forms, sorted, are the
+    classes, named ``n<order>_<index>``.
     Every emitted entry re-passes its filter predicates by construction of
     the flags.
     """
     base = _GENERATED.get(n)
     if base is None:
-        base = _GENERATED[n] = _generate(n, jobs)
+        base = _GENERATED[n] = _generate(n)
     entries = [make_entry(L.name, L) for L in base]
     return [entry for entry in entries if entry_passes(entry, tuple(filters))]

@@ -193,7 +193,7 @@ def _cmd_identity(args) -> tuple[AnalysisReport, int]:
 
 def _cmd_generate(args) -> tuple[AnalysisReport, int]:
     report = AnalysisReport()
-    entries = cat.generate_loops(args.order, tuple(args.filter), jobs=args.jobs)
+    entries = cat.generate_loops(args.order, tuple(args.filter))
     for entry in entries:
         report.add(
             "loop-generated",
@@ -218,9 +218,7 @@ def _cmd_generate(args) -> tuple[AnalysisReport, int]:
 
 
 def _cmd_papercheck(args) -> tuple[AnalysisReport, int]:
-    ctx = papercheck.build_context(
-        max_order=args.max_order, seed=args.seed, jobs=args.jobs
-    )
+    ctx = papercheck.build_context(max_order=args.max_order, seed=args.seed)
     report = AnalysisReport()
     all_passed = True
     for result in papercheck.run_all(ctx):
@@ -249,8 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="text", help="report rendering")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the sampling paths")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for catalog generation")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="full analysis report for one loop")
@@ -291,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error(f"argument --jobs: must be at least 1; got {args.jobs}")
     try:
         report, code = args.fn(args)
     except (LoopError, OSError, ValueError) as err:

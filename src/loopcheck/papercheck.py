@@ -77,7 +77,7 @@ class CriterionResult:
     seconds: float
 
 
-def build_context(max_order: int = 6, seed: int = 0, jobs: int = 1) -> SuiteContext:
+def build_context(max_order: int = 6, seed: int = 0) -> SuiteContext:
     # Below 1 the catalog is empty and every criterion would pass vacuously;
     # above the soft cap no catalog is generated, so the run would be the
     # soft cap's run under another name.
@@ -88,7 +88,7 @@ def build_context(max_order: int = 6, seed: int = 0, jobs: int = 1) -> SuiteCont
         )
     ctx = SuiteContext(max_order=max_order, seed=seed)
     for n in range(1, max_order + 1):
-        ctx.generated[n] = cat.generate_loops(n, jobs=jobs)
+        ctx.generated[n] = cat.generate_loops(n)
     ctx.builtins = list(cat.builtin_loops())
     return ctx
 

@@ -9,11 +9,10 @@ commute; they are checked independently.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
 
-from .table import LoopError, LoopTable, NotAutomorphicWarning, multiplication_closure
-from .perms import compose, invert, is_automorphic
+from .table import LoopError, LoopTable, multiplication_closure
+from .perms import compose, invert
 
 
 @dataclass(frozen=True)
@@ -111,25 +110,6 @@ def theorem31_violation(L: LoopTable) -> tuple[int, int, str] | None:
             if lhs != rhs:
                 return (x, y, "forward" if lhs else "backward")
     return None
-
-
-def check_theorem31(L: LoopTable, require_automorphic: bool = False) -> bool:
-    """Check the equivalence x*(x*y) = (y*x)*x iff x^2*y = y*x^2 over all pairs.
-
-    The equivalence is guaranteed for automorphic loops only.  When the
-    hypothesis fails this emits `NotAutomorphicWarning` (or raises, if
-    `require_automorphic`) and the result is merely empirical.
-    """
-    if not is_automorphic(L):
-        if require_automorphic:
-            raise ValueError(f"{L!r} is not automorphic")
-        warnings.warn(
-            f"{L!r} is not automorphic; the squared-commuting equivalence "
-            "is not guaranteed",
-            NotAutomorphicWarning,
-            stacklevel=2,
-        )
-    return theorem31_violation(L) is None
 
 
 def cor21_violations(

@@ -11,7 +11,7 @@ from loopcheck.papercheck import CRITERIA, build_context, run_criterion
 
 @pytest.fixture(scope="module")
 def ctx():
-    return build_context(max_order=6, seed=0, jobs=1)
+    return build_context(max_order=6, seed=0)
 
 
 def _run(number, ctx):

@@ -7,8 +7,6 @@ from loopcheck.catalog import (
     LoopFileError,
     _canonical_rows,
     _class_names,
-    _dedupe_key,
-    _generate,
     _left_invariant,
     _orderly_tables,
     _standard_rows,
@@ -20,7 +18,6 @@ from loopcheck.catalog import (
     entry_passes,
     example21_dot,
     example21_star,
-    find_isomorphism,
     generate_loops,
     parse_loop_file,
     reduced_tables,
@@ -34,6 +31,7 @@ from loopcheck.table import (
     is_associative,
     make_loop,
 )
+from loopcheck.perms import isomorphisms
 
 STAR_TEXT = """loop 7 example21_star
 1 2 3 4 5 6 7
@@ -126,7 +124,7 @@ def test_are_isomorphic_examples(star, dot, c7):
 
 
 def test_isomorphism_found_is_valid(c7, star):
-    sigma = find_isomorphism(c7, star)
+    sigma = next(isomorphisms(c7, star))
     for a in c7.elements:
         for b in c7.elements:
             assert sigma[c7.mul(a, b)] == star.mul(sigma[a], sigma[b])
@@ -152,18 +150,6 @@ def test_generate_counts_small():
     assert [len(generate_loops(n)) for n in range(1, 6)] == [1, 1, 1, 2, 6]
 
 
-def test_generate_jobs_match_serial():
-    serial = _generate(5, 1)
-    sharded = _generate(5, 2)
-    assert [(L.name, L.table) for L in sharded] == [(L.name, L.table) for L in serial]
-
-
-def test_generation_cache_ignores_jobs():
-    serial = generate_loops(5)
-    sharded = generate_loops(5, jobs=2)
-    assert [id(e.loop) for e in serial] == [id(e.loop) for e in sharded]
-
-
 def test_generate_order6_count(catalog6):
     assert len(catalog6) == 109
     assert [e.name for e in catalog6[:2]] == ["n6_001", "n6_002"]
@@ -187,22 +173,36 @@ def test_generated_entries_are_canonical(catalog6):
     ]
 
 
-def test_dedupe_key_splits_like_canonical_key():
+def _full_scan_rows(table, identity):
+    """The least relabeled table over all (n-1)! relabelings that send the
+    identity to label 0: the oracle for `_canonical_rows`."""
+    rest = [x for x in range(len(table)) if x != identity]
+    best = None
+    for tail in permutations(rest):
+        order = [identity, *tail]
+        sigma = [0] * len(table)
+        for k, x in enumerate(order):
+            sigma[x] = k
+        rows = tuple(tuple(sigma[table[a][b]] for b in order) for a in order)
+        if best is None or rows < best:
+            best = rows
+    return best
+
+
+def test_canonical_rows_match_full_scan(catalog6):
     for n in range(1, 6):
-        pairs = {
-            (_dedupe_key(table), _canonical_rows(table, 0))
-            for table in reduced_tables(n)
-        }
-        dedupe_keys = {d for d, _ in pairs}
-        canonical_keys = {c for _, c in pairs}
-        assert len(pairs) == len(dedupe_keys) == len(canonical_keys)
+        for table in reduced_tables(n):
+            assert _canonical_rows(table, 0) == _full_scan_rows(table, 0)
+    loops = [e.loop for e in catalog6]
+    loops += [builtin_loop(name) for name in ("c8", "c2xc4", "c2xc2xc2")]
+    for L in loops:
+        assert _canonical_rows(L.table, L.identity) == _full_scan_rows(
+            L.table, L.identity
+        )
 
 
 def _class_forms(tables):
-    representatives = {}
-    for table in tables:
-        representatives.setdefault(_dedupe_key(table), table)
-    return sorted(_canonical_rows(table, 0) for table in representatives.values())
+    return sorted({_canonical_rows(table, 0) for table in tables})
 
 
 def test_orderly_tables_keep_every_class():
@@ -240,10 +240,15 @@ def test_generate_order7():
     with pytest.warns(UserWarning, match="151,884 tables"):
         catalog7 = generate_loops(7)
     assert len(catalog7) == 23746
+    # The only automorphic class of order 7 is the cyclic group.
+    assert sum(e.automorphic for e in catalog7) == 1
+    (auto,) = [e for e in catalog7 if e.automorphic]
+    assert auto.loop.table == canonical_form(cyclic_group(7)).table
     tables = [e.loop.table for e in catalog7]
     assert tables == sorted(set(tables))
     for e in catalog7[::1000]:
         assert canonical_form(e.loop).table == e.loop.table
+        assert _full_scan_rows(e.loop.table, 0) == e.loop.table
     names = [e.name for e in catalog7]
     assert names == sorted(set(names))
     assert names[::23745] == ["n7_00001", "n7_23746"]
@@ -251,7 +256,7 @@ def test_generate_order7():
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_dedupe_key_is_isomorphism_invariant(catalog6, data):
+def test_canonical_rows_are_isomorphism_invariant(catalog6, data):
     loops = [e.loop for e in catalog6] + [example21_dot(), builtin_loop("c2xc2xc2")]
     L = data.draw(st.sampled_from(loops))
     sigma = [0, *data.draw(st.permutations(range(1, L.order)))]
@@ -262,7 +267,7 @@ def test_dedupe_key_is_isomorphism_invariant(catalog6, data):
         tuple(sigma[L.table[inv[i]][inv[j]]] for j in L.elements)
         for i in L.elements
     )
-    assert _dedupe_key(relabeled) == _dedupe_key(L.table)
+    assert _canonical_rows(relabeled, 0) == _canonical_rows(L.table, 0)
 
 
 def test_filters_are_consistent(catalog6):

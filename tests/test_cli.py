@@ -1,5 +1,7 @@
 import json
+import runpy
 import time
+from pathlib import Path
 
 import pytest
 
@@ -213,12 +215,19 @@ def test_papercheck_max_order_out_of_range(capsys, max_order):
     assert err == f"error: papercheck takes a max order from 1 to 6; got {max_order}\n"
 
 
-@pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_jobs_below_one(capsys, jobs):
+@pytest.mark.parametrize("max_order", ["1", "8"])
+def test_even_co1_script_refuses_orders_out_of_range(capsys, max_order):
+    script = Path(__file__).parents[1] / "scripts" / "find_even_co1_loops.py"
+    main_fn = runpy.run_path(str(script))["main"]
     with pytest.raises(SystemExit) as exc:
-        main(["--jobs", jobs, "generate", "--order", "3"])
+        main_fn(["--max-order", max_order])
     assert exc.value.code == 2
-    assert f"argument --jobs: must be at least 1; got {jobs}" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"must lie in 2..7; got {max_order}" in captured.err
+    assert "Traceback" not in captured.err
+    assert main_fn(["--max-order", "4"]) == 0
+    assert "order 4: automorphic+co1 classes" in capsys.readouterr().out
 
 
 def test_identity_check_parse_error(tmp_path, capsys):

@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from loopcheck.structure import (
     check_cor21,
-    check_theorem31,
     co1_violation,
     co2_violation,
     commutant,
@@ -13,7 +12,7 @@ from loopcheck.structure import (
     subloop_generated,
     theorem31_violation,
 )
-from loopcheck.table import NotAutomorphicWarning, cyclic_group, is_commutative
+from loopcheck.table import cyclic_group, is_commutative
 
 
 def test_subloop_of_identity(star):
@@ -129,14 +128,6 @@ def test_co1_closed_under_direct_products(catalog6, c5):
 def test_theorem31_on_groups(star, s3, c5):
     for L in (star, s3, c5):
         assert theorem31_violation(L) is None
-        assert check_theorem31(L)
-
-
-def test_theorem31_warns_without_hypothesis(dot):
-    with pytest.warns(NotAutomorphicWarning):
-        check_theorem31(dot)
-    with pytest.raises(ValueError):
-        check_theorem31(dot, require_automorphic=True)
 
 
 def test_theorem31_fails_off_hypothesis(catalog5):
