@@ -72,6 +72,7 @@ from .halfiso import (
     classify,
     speciality_criteria,
     enumerate_half_isos,
+    naive_half_isos,
     is_semi_homomorphism,
     audit_theorem41,
     scan_conjecture51,

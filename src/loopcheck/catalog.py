@@ -8,12 +8,14 @@ spacing, so write(parse(text)) is byte-identical for normalized files.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator
 
 from .table import (
+    MAX_ORDER,
     LoopTable,
     LoopError,
     OrderTooLarge,
@@ -186,23 +188,26 @@ def example21_dot() -> LoopTable:
 
 def builtin_loop(name: str) -> LoopTable:
     """Resolve a built-in loop by name: the two example tables, cyclic groups
-    ``cN`` (N <= 16), and direct products like ``c2xc3``."""
+    ``cN``, and direct products like ``c2xc3``, up to order `MAX_ORDER` (64)."""
     if name == "example21_star":
         return example21_star()
     if name == "example21_dot":
         return example21_dot()
-    factors = name.split("x")
-    loops = []
-    for part in factors:
+    orders = []
+    for part in name.split("x"):
         if not (part.startswith("c") and part[1:].isdigit()):
             raise LoopError(f"unknown builtin loop {name!r}")
         n = int(part[1:])
-        if not 1 <= n <= 16:
-            raise LoopError(f"builtin cyclic groups are capped at c16; got {part}")
-        loops.append(cyclic_group(n))
-    out = loops[0]
-    for other in loops[1:]:
-        out = direct_product(out, other)
+        if n < 1:
+            raise LoopError(f"builtin cyclic groups start at c1; got {part}")
+        orders.append(n)
+    # refused before any table is built: c64xc64 would fill 16.7 M cells
+    order = math.prod(orders)
+    if order > MAX_ORDER:
+        raise OrderTooLarge(f"{name} has order {order}, above the cap of {MAX_ORDER}")
+    out = cyclic_group(orders[0])
+    for n in orders[1:]:
+        out = direct_product(out, cyclic_group(n))
     return LoopTable(out.order, out.table, out.identity, name=name)
 
 

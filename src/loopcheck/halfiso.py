@@ -47,8 +47,6 @@ class Classification:
     is_special: bool
     gg_triples: tuple[tuple[int, int, int], ...]
     trivial: bool
-    iso_witness: tuple[int, int] | None = None
-    anti_witness: tuple[int, int] | None = None
     special_witness: tuple[int, int] | None = None
 
 
@@ -104,20 +102,14 @@ def classify(f: HalfIso) -> Classification:
     tq, tr = Q.table, R.table
     n = Q.order
     iso = anti = True
-    iso_w = anti_w = special_w = None
+    special_w = None
     for a in range(n):
         ma = m[a]
         for b in range(n):
             mb = m[b]
             v = m[tq[a][b]]
-            first = v == tr[ma][mb]
-            second = v == tr[mb][ma]
-            if not first and iso:
-                iso = False
-                iso_w = (a, b)
-            if not second and anti:
-                anti = False
-                anti_w = (a, b)
+            iso = iso and v == tr[ma][mb]
+            anti = anti and v == tr[mb][ma]
             if special_w is None and tq[a][b] == tq[b][a] and tr[ma][mb] != tr[mb][ma]:
                 special_w = (a, b)
     gg: list[tuple[int, int, int]] = []
@@ -143,8 +135,6 @@ def classify(f: HalfIso) -> Classification:
         is_special=special_w is None,
         gg_triples=tuple(gg[:GG_CAP]),
         trivial=iso or anti,
-        iso_witness=iso_w,
-        anti_witness=anti_w,
         special_witness=special_w,
     )
 
@@ -256,41 +246,34 @@ def is_semi_homomorphism(f: HalfIso) -> bool:
 # ---------------------------------------------------------------------------
 # enumeration
 
-def enumerate_half_isos(
-    Q: LoopTable, R: LoopTable, mode: str = "pruned"
-) -> Iterator[HalfIso]:
+def enumerate_half_isos(Q: LoopTable, R: LoopTable) -> Iterator[HalfIso]:
     """Yield every half-isomorphism Q -> R exactly once, in lexicographic
     order of the image tuple.
 
-    naive:  `_naive_half_isos`, depth-first search over bijections that uses
-            nothing but the definition; this is the oracle mode.
-    pruned: `perms.bijection_search` with f(a*b) in {f(a)f(b), f(b)f(a)}
-            as the allowed products: the same propagating search as
-            `perms.isomorphisms`, which allows f(a)f(b) alone.
+    `perms.bijection_search` with f(a*b) in {f(a)f(b), f(b)f(a)} as the
+    allowed products: the same propagating search as `perms.isomorphisms`,
+    which allows f(a)f(b) alone.  `naive_half_isos` is its oracle.
     """
     if Q.order != R.order:
         raise ValueError("half-isomorphisms need equal orders")
-    if mode not in ("naive", "pruned"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "naive":
-        images = _naive_half_isos(Q, R)
-    else:
-        t = R.table
-        allowed = [
-            [1 << w | 1 << t[v][u] for v, w in enumerate(row)] for u, row in enumerate(t)
-        ]
-        images = bijection_search(Q, R, allowed)
-    for image in images:
+    t = R.table
+    allowed = [
+        [1 << w | 1 << t[v][u] for v, w in enumerate(row)] for u, row in enumerate(t)
+    ]
+    for image in bijection_search(Q, R, allowed):
         yield HalfIso(Q, R, image)
 
 
-def _naive_half_isos(Q: LoopTable, R: LoopTable) -> Iterator[tuple[int, ...]]:
-    """Every half-isomorphism Q -> R as an image tuple, lexicographically.
+def naive_half_isos(Q: LoopTable, R: LoopTable) -> Iterator[HalfIso]:
+    """Every half-isomorphism Q -> R, lexicographically: the oracle for
+    `enumerate_half_isos`.
 
     Assigns images in index order, each image in increasing order, and
     checks each triple (a, b, a*b) once, when the last of its three
     elements is assigned.  Nothing but the definition is used.
     """
+    if Q.order != R.order:
+        raise ValueError("half-isomorphisms need equal orders")
     n = Q.order
     tq, tr = Q.table, R.table
     completed: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
@@ -301,9 +284,9 @@ def _naive_half_isos(Q: LoopTable, R: LoopTable) -> Iterator[tuple[int, ...]]:
     f = [-1] * n
     used = [False] * n
 
-    def search(i: int) -> Iterator[tuple[int, ...]]:
+    def search(i: int) -> Iterator[HalfIso]:
         if i == n:
-            yield tuple(f)
+            yield HalfIso(Q, R, tuple(f))
             return
         for v in range(n):
             if used[v]:
@@ -579,8 +562,9 @@ def scan_conjecture51(
     `half_isos(Q, R)` must yield every half-isomorphism from Q to R, such
     as `enumerate_half_isos` does; the scan checks only the maps it yields.
     An empty finding list means the speciality conjecture is consistent at
-    this scale.  Any candidate finding is re-verified with the naive
-    enumerator before being reported; reports carry the confirmation flag.
+    this scale.  Any candidate finding is re-verified with the oracle
+    `naive_half_isos` before being reported; reports carry the confirmation
+    flag.
     """
     report = AnalysisReport()
     auto = [(name, L) for name, L in catalog if is_automorphic(L)]
@@ -596,7 +580,7 @@ def scan_conjecture51(
                     continue
                 confirmed = any(
                     g.mapping == f.mapping and not classify(g).is_special
-                    for g in enumerate_half_isos(Q, R, mode="naive")
+                    for g in naive_half_isos(Q, R)
                 )
                 report.add(
                     "nonspecial-halfiso",

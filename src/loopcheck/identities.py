@@ -103,11 +103,6 @@ class RDiv:
 
 
 @dataclass(frozen=True)
-class Inv:
-    arg: "Term"
-
-
-@dataclass(frozen=True)
 class Pow:
     arg: "Term"
     exponent: int
@@ -119,7 +114,7 @@ class MacroCall:
     args: tuple["Term", ...]
 
 
-Term = Union[Var, One, Mul, LDiv, RDiv, Inv, Pow, MacroCall]
+Term = Union[Var, One, Mul, LDiv, RDiv, Pow, MacroCall]
 
 
 @dataclass(frozen=True)
@@ -331,7 +326,7 @@ class _Parser:
         node, height, size = self.primary()
         while self.peek() == "POW":
             _, value, pos = self.next()
-            node = Inv(node) if value == -1 else Pow(node, value)
+            node = Pow(node, value)
             height, size = self.grow(height + 1, size + 1, pos)
         return node, height, size
 
@@ -385,7 +380,7 @@ class _Parser:
 def _children(term: Term) -> tuple[Term, ...]:
     if isinstance(term, (Mul, LDiv, RDiv)):
         return (term.left, term.right)
-    if isinstance(term, (Inv, Pow)):
+    if isinstance(term, Pow):
         return (term.arg,)
     if isinstance(term, MacroCall):
         return term.args
@@ -523,8 +518,6 @@ def term_to_text(term: Term) -> str:
         return f"{sub(term.left, 3)} \\ {sub(term.right, 3)}"
     if isinstance(term, RDiv):
         return f"{sub(term.left, 3)} / {sub(term.right, 3)}"
-    if isinstance(term, Inv):
-        return f"{sub(term.arg, 3)}^-1"
     if isinstance(term, Pow):
         return f"{sub(term.arg, 3)}^{term.exponent}"
     if isinstance(term, MacroCall):
@@ -569,8 +562,6 @@ def expand_term(
 
     if isinstance(term, (Mul, LDiv, RDiv)):
         return type(term)(sub(term.left), sub(term.right))
-    if isinstance(term, Inv):
-        return Inv(sub(term.arg))
     if isinstance(term, Pow):
         return Pow(sub(term.arg), term.exponent)
     if isinstance(term, MacroCall):
@@ -600,21 +591,16 @@ def eval_term(L: LoopTable, term: Term, env: Mapping[str, int]) -> int:
     if isinstance(term, RDiv):
         # t1 / t2 is the z with z*t2 = t1, i.e. rdiv(divisor=t2, target=t1)
         return L.rdiv(eval_term(L, term.right, env), eval_term(L, term.left, env))
-    try:
-        if isinstance(term, Inv):
-            return L.inverse(eval_term(L, term.arg, env))
-        if isinstance(term, Pow):
+    if isinstance(term, Pow):
+        try:
             return L.power(eval_term(L, term.arg, env), term.exponent)
-    except NoTwoSidedInverse as err:
-        raise InverseUnavailable(err.element, L) from err
+        except NoTwoSidedInverse as err:
+            raise InverseUnavailable(err.element, L) from err
     raise TypeError(f"not an evaluable term: {term!r}")
 
 
 class _Poison(Exception):
-    """A block asked for the inverse of `element`, which has none."""
-
-    def __init__(self, element: int):
-        self.element = element
+    """A block asked for the inverse of an element that has none."""
 
 
 def _binary(rows, i: int, j: int):
@@ -631,7 +617,7 @@ def _unary(table: tuple[int, ...], i: int):
     def partial_step(vals):
         out = [table[a] for a in vals[i]]
         if -1 in out:
-            raise _Poison(vals[i][out.index(-1)])
+            raise _Poison
         return out
 
     return partial_step if -1 in table else step
@@ -686,9 +672,7 @@ class _Program:
         if slot is None:
             slot = self.slots[key] = len(self.slots)
             L = self.loop
-            if isinstance(term, Inv):
-                self.steps[slot] = _unary(L.inverse_table, key[1])
-            elif isinstance(term, Pow):
+            if isinstance(term, Pow):
                 self.steps[slot] = _unary(L.power_table(term.exponent), key[1])
             else:
                 self.steps[slot] = _binary(getattr(L, self.TABLES[type(term)]), *key[1:])

@@ -20,6 +20,7 @@ from .halfiso import (
     classify,
     enumerate_half_isos,
     half_iso_violation,
+    naive_half_isos,
     identity_half_iso,
     audit_theorem41,
     scan_conjecture51,
@@ -51,7 +52,7 @@ class SuiteContext:
     enumerated: dict = field(default_factory=dict, repr=False)
 
     def half_isos(self, Q: LoopTable, R: LoopTable) -> tuple[HalfIso, ...]:
-        """Every half-isomorphism Q -> R in pruned mode, enumerated on the
+        """Every half-isomorphism Q -> R from `enumerate_half_isos`, on the
         first request and kept for the rest of the run.  Loops compare by
         table, so catalog entries with equal tables share one enumeration."""
         maps = self.enumerated.get((Q, R))
@@ -59,13 +60,8 @@ class SuiteContext:
             maps = self.enumerated[(Q, R)] = tuple(enumerate_half_isos(Q, R))
         return maps
 
-    def generated_entries(self, max_order: int | None = None) -> list[CatalogEntry]:
-        cap = self.max_order if max_order is None else min(self.max_order, max_order)
-        out = []
-        for n in sorted(self.generated):
-            if n <= cap:
-                out.extend(self.generated[n])
-        return out
+    def generated_entries(self) -> list[CatalogEntry]:
+        return [e for n in sorted(self.generated) for e in self.generated[n]]
 
 
 @dataclass
@@ -126,7 +122,7 @@ def _odd_audit_pairs(ctx: SuiteContext) -> list[tuple[CatalogEntry, CatalogEntry
 def _oracle_pairs(ctx: SuiteContext) -> list[tuple[CatalogEntry, CatalogEntry]]:
     pool = [
         e
-        for e in ctx.generated_entries(ORACLE_ORDER_CAP) + list(ctx.builtins)
+        for e in ctx.generated_entries() + list(ctx.builtins)
         if e.loop.order <= ORACLE_ORDER_CAP
     ]
     pairs = [(a, b) for a in pool for b in pool if a.loop.order == b.loop.order]
@@ -137,7 +133,7 @@ def _oracle_pairs(ctx: SuiteContext) -> list[tuple[CatalogEntry, CatalogEntry]]:
 
 
 def _scan_pairs(ctx: SuiteContext) -> list[tuple[CatalogEntry, CatalogEntry]]:
-    pool = [e for e in ctx.generated_entries(6) if e.automorphic]
+    pool = [e for e in ctx.generated_entries() if e.automorphic]
     return [
         (a, b) for a in pool for b in pool if a.loop.order == b.loop.order
     ]
@@ -204,7 +200,7 @@ def criterion_1(ctx: SuiteContext) -> AnalysisReport:
 def criterion_2(ctx: SuiteContext) -> AnalysisReport:
     report = AnalysisReport()
     checked = 0
-    for entry in ctx.generated_entries(6):
+    for entry in ctx.generated_entries():
         if not entry.automorphic:
             continue
         checked += 1
@@ -227,7 +223,7 @@ def criterion_2(ctx: SuiteContext) -> AnalysisReport:
 def criterion_3(ctx: SuiteContext) -> AnalysisReport:
     report = AnalysisReport()
     checked = 0
-    for entry in ctx.generated_entries(6):
+    for entry in ctx.generated_entries():
         if not entry.automorphic:
             continue
         checked += 1
@@ -272,7 +268,7 @@ def criterion_4(ctx: SuiteContext) -> AnalysisReport:
         for s in builtin_library()
         if s.name in CRITERION4_EXACT or s.name.startswith(CRITERION4_PREFIXES)
     ]
-    loops = [e for e in ctx.generated_entries(6) if e.automorphic]
+    loops = [e for e in ctx.generated_entries() if e.automorphic]
     for entry in loops:
         for stmt in statements:
             cx = evaluate(entry.loop, stmt, automorphic=True)
@@ -281,9 +277,7 @@ def criterion_4(ctx: SuiteContext) -> AnalysisReport:
                     "identity-counterexample",
                     level="finding",
                     loops=(entry.name,),
-                    witness=tuple(
-                        (v, x + 1) for v, x in sorted(cx.assignment.items())
-                    ),
+                    witness=tuple((v, x + 1) for v, x in cx.items()),
                     anchor=stmt.name or "",
                 )
     report.add(
@@ -338,13 +332,13 @@ def criterion_7(ctx: SuiteContext) -> AnalysisReport:
 
 
 # ---------------------------------------------------------------------------
-# criterion 8: pruned vs naive enumeration
+# criterion 8: the engine against the definition-only oracle
 
 def criterion_8(ctx: SuiteContext) -> AnalysisReport:
     report = AnalysisReport()
     pairs = _oracle_pairs(ctx)
     for a, b in pairs:
-        naive = [f.mapping for f in enumerate_half_isos(a.loop, b.loop, "naive")]
+        naive = [f.mapping for f in naive_half_isos(a.loop, b.loop)]
         pruned = [f.mapping for f in ctx.half_isos(a.loop, b.loop)]
         if naive != pruned:
             report.add(
@@ -454,7 +448,7 @@ def criterion_9(ctx: SuiteContext) -> AnalysisReport:
 # criterion 10: the speciality conjecture scan
 
 def criterion_10(ctx: SuiteContext) -> AnalysisReport:
-    pool = [(e.name, e.loop) for e in ctx.generated_entries(6) if e.automorphic]
+    pool = [(e.name, e.loop) for e in ctx.generated_entries() if e.automorphic]
     return scan_conjecture51(pool, ctx.half_isos)
 
 
@@ -479,7 +473,5 @@ def run_criterion(number: int, ctx: SuiteContext) -> CriterionResult:
     raise ValueError(f"no criterion {number}")
 
 
-def run_all(ctx: SuiteContext | None = None, **kwargs) -> list[CriterionResult]:
-    if ctx is None:
-        ctx = build_context(**kwargs)
+def run_all(ctx: SuiteContext) -> list[CriterionResult]:
     return [_timed(num, title, fn, ctx) for num, title, fn in CRITERIA]

@@ -52,6 +52,24 @@ def test_analyze_aut_of_elementary_abelian_32(capsys):
     assert sizes["aut"] == 9_999_360  # |GL(5, 2)|
 
 
+def test_analyze_c64(capsys):
+    code, out, _ = run(capsys, "--format", "json-lines", "analyze", "c64")
+    assert code == 0
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    sizes = {r["anchor"]: r["data"]["size"] for r in records if r["kind"] == "group-size"}
+    assert sizes == {"mlt": 64, "inn": 1, "aut": 32}
+
+
+@pytest.mark.parametrize("name", ["c65", "c0", "c64xc64"])
+def test_analyze_builtin_out_of_range(capsys, name):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", name)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 # frozen text of `loopcheck analyze c1`: every degree-1 path, byte for byte
 ANALYZE_C1 = (
     "[info] loop  loops=c1  identity=1 order=1\n"
@@ -91,13 +109,21 @@ def test_analyze_unknown_builtin(capsys):
 
 
 def test_halfiso_classify_example(capsys):
-    code, out, _ = run(capsys, "halfiso", "example21_star", "example21_dot",
-                       "--classify")
+    code, out, _ = run(capsys, "halfiso", "example21_star", "example21_dot")
     assert code == 0  # nontrivial maps exist but the target is not automorphic
     assert "trivial=False" in out
     assert "special=False" in out
     assert "(3, 2, 6)" in out
     assert "count=6" in out
+
+
+@pytest.mark.parametrize("flags", [["--mode", "pruned"], ["--classify"],
+                                   ["--enumerate", "--audit"]])
+def test_halfiso_takes_one_task(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["halfiso", "c5", "c5", *flags])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_halfiso_enumerate(capsys):

@@ -16,7 +16,7 @@ from loopcheck.catalog import (
     write_loop_file,
 )
 from loopcheck.cli import main
-from loopcheck.halfiso import enumerate_half_isos
+from loopcheck.halfiso import enumerate_half_isos, naive_half_isos
 from loopcheck.identities import parse_identity, parse_identity_file
 from loopcheck.table import LoopError, cyclic_group, make_loop
 
@@ -136,4 +136,4 @@ def test_pruned_half_isos_equal_naive(data):
     Q = relabeled(data.draw, data.draw(st.sampled_from(pool[n])))
     R = relabeled(data.draw, data.draw(st.sampled_from(pool[n])))
     pruned = [f.mapping for f in enumerate_half_isos(Q, R)]
-    assert pruned == [f.mapping for f in enumerate_half_isos(Q, R, "naive")]
+    assert pruned == [f.mapping for f in naive_half_isos(Q, R)]

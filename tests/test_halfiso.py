@@ -17,6 +17,7 @@ from loopcheck.halfiso import (
     is_half_isomorphism,
     is_semi_homomorphism,
     make_half_iso,
+    naive_half_isos,
     power_map_violation,
     scan_conjecture51,
     speciality_criteria,
@@ -26,8 +27,8 @@ from loopcheck.perms import invert, isomorphisms
 from loopcheck.table import cyclic_group, opposite
 
 
-def all_half_isos(Q, R, mode="pruned"):
-    return list(enumerate_half_isos(Q, R, mode))
+def all_half_isos(Q, R):
+    return list(enumerate_half_isos(Q, R))
 
 
 def test_identity_map_is_half_iso(star, dot):
@@ -73,7 +74,7 @@ def test_classification_invariants(star, dot, c5):
     for f in (
         *all_half_isos(star, dot),
         *all_half_isos(c5, c5),
-        *all_half_isos(dot, dot, mode="naive"),
+        *naive_half_isos(dot, dot),
     ):
         cls = classify(f)
         assert cls.trivial == (cls.is_isomorphism or cls.is_anti_isomorphism)
@@ -86,7 +87,7 @@ def test_classification_invariants(star, dot, c5):
 def test_speciality_criteria_agree(star, dot, c5, s3):
     pairs = [(star, dot), (c5, c5), (s3, s3)]
     for Q, R in pairs:
-        for f in all_half_isos(Q, R, mode="naive"):
+        for f in naive_half_isos(Q, R):
             a, b, c = speciality_criteria(f)
             assert a == b == c
 
@@ -99,7 +100,7 @@ def test_special_maps_have_branch_symmetry(c5, c7, s3, dot):
         for f in all_half_isos(Q, Q):
             if classify(f).is_special:
                 assert special_symmetry_violation(f) is None
-    for f in all_half_isos(dot, dot, mode="naive"):
+    for f in naive_half_isos(dot, dot):
         if classify(f).is_special:
             assert special_symmetry_violation(f) is None
 
@@ -142,7 +143,7 @@ def test_pruned_needs_no_power_associativity(star, dot):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         pruned = [f.mapping for f in all_half_isos(star, dot)]
-    assert pruned == [f.mapping for f in all_half_isos(star, dot, "naive")]
+    assert pruned == [f.mapping for f in naive_half_isos(star, dot)]
     assert len(pruned) == 6
 
 
@@ -150,14 +151,14 @@ def test_enumerate_rejects_bad_input(star, c5):
     with pytest.raises(ValueError):
         list(enumerate_half_isos(star, c5))
     with pytest.raises(ValueError):
-        list(enumerate_half_isos(star, star, mode="fast"))
+        list(naive_half_isos(star, c5))
 
 
 def test_naive_equals_pruned_small():
     for n in (3, 4, 5):
         for e1 in generate_loops(n):
             for e2 in generate_loops(n):
-                naive = [f.mapping for f in all_half_isos(e1.loop, e2.loop, "naive")]
+                naive = [f.mapping for f in naive_half_isos(e1.loop, e2.loop)]
                 pruned = [f.mapping for f in all_half_isos(e1.loop, e2.loop)]
                 assert naive == pruned, (e1.name, e2.name)
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from loopcheck.identities import (
     BUILTIN_MACRO_LINES,
     Equation,
-    Inv,
     InverseUnavailable,
     LDiv,
     MAX_NESTING,
@@ -44,8 +43,8 @@ def test_parse_aaip():
     assert stmt.hypotheses == ()
     assert len(stmt.conclusion) == 1
     eq = stmt.conclusion[0]
-    assert eq.lhs == Inv(Mul(Var("x"), Var("y")))
-    assert eq.rhs == Mul(Inv(Var("y")), Inv(Var("x")))
+    assert eq.lhs == Pow(Mul(Var("x"), Var("y")), -1)
+    assert eq.rhs == Mul(Pow(Var("y"), -1), Pow(Var("x"), -1))
 
 
 def test_parse_quasi_identity():
@@ -150,19 +149,13 @@ def test_corpus_round_trip_exact():
         assert macro_to_text(macro) == line
 
 
-# exponent -1 is excluded: the parser canonicalizes x^-1 to the Inv node
 terms = st.recursive(
     st.sampled_from([Var("x"), Var("y"), Var("z"), One()]),
     lambda inner: st.one_of(
         st.builds(Mul, inner, inner),
         st.builds(LDiv, inner, inner),
         st.builds(RDiv, inner, inner),
-        st.builds(Inv, inner),
-        st.builds(
-            Pow,
-            inner,
-            st.integers(min_value=-16, max_value=16).filter(lambda k: k != -1),
-        ),
+        st.builds(Pow, inner, st.integers(min_value=-16, max_value=16)),
     ),
     max_leaves=40,
 )

@@ -1,10 +1,15 @@
 import inspect
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import loopcheck
 from loopcheck.perms import (
     apply,
     automorphic_violation,
@@ -21,8 +26,8 @@ from loopcheck.perms import (
     mlt_group,
     schreier_sims,
 )
-from loopcheck.catalog import builtin_loop, builtin_loops, generate_loops
-from loopcheck.halfiso import classify, enumerate_half_isos
+from loopcheck.catalog import builtin_loop, builtin_loops, generate_loops, write_loop_file
+from loopcheck.halfiso import classify, enumerate_half_isos, naive_half_isos
 from loopcheck.table import (
     associativity_violation,
     cyclic_group,
@@ -388,6 +393,21 @@ def test_automorphism_group_frozen_sizes():
     assert automorphism_group(builtin_loop("c4xc4xc4")).order == 86_016
 
 
+def test_analyze_relabeled_c2_6_in_a_fresh_process(tmp_path):
+    # Assigning each element whose domain shrinks to one image, as soon as it
+    # does, keeps the pinned Aut searches small on this labeling; without
+    # that step `analyze` does not finish within the timeout.
+    path = tmp_path / "c2_6.loop"
+    path.write_text(write_loop_file(relabeled(builtin_loop("c2xc2xc2xc2xc2xc2"), 1)))
+    env = {**os.environ, "PYTHONPATH": str(Path(loopcheck.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "loopcheck", "analyze", str(path)],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "anchor=aut  size=20158709760" in proc.stdout  # |GL(6, 2)|
+
+
 def test_automorphism_group_matches_naive_filter(dot):
     from itertools import permutations
 
@@ -420,7 +440,7 @@ def test_isomorphisms_match_naive_half_isomorphisms(c7, star, dot):
                 continue
             want = [
                 f.mapping
-                for f in enumerate_half_isos(L1, L2, "naive")
+                for f in naive_half_isos(L1, L2)
                 if classify(f).is_isomorphism
             ]
             assert list(isomorphisms(L1, L2)) == want, (L1, L2)
