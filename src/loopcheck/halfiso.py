@@ -213,9 +213,16 @@ def power_map_violation(f: HalfIso) -> tuple[int, int] | None:
     half-isomorphism must commute with powers.
     """
     Q, R, m = f.source, f.target, f.mapping
+    tables = [(k, Q.power_table(k), R.power_table(k)) for k in range(-Q.order, Q.order + 1)]
     for x in Q.elements:
-        for k in range(-Q.order, Q.order + 1):
-            if m[Q.power(x, k)] != R.power(m[x], k):
+        mx = m[x]
+        for k, qk, rk in tables:
+            # -1 marks a missing inverse: `power` raises for it, Q first
+            if qk[x] < 0:
+                Q.power(x, k)
+            if rk[mx] < 0:
+                R.power(mx, k)
+            if m[qk[x]] != rk[mx]:
                 return (x, k)
     return None
 

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import operator
 import warnings
-from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import product
+from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
+from itertools import chain, product, repeat
 from typing import Iterator, Mapping, Union
 
 from .table import LoopTable, LoopError, NoTwoSidedInverse, NotAutomorphicWarning
@@ -130,7 +130,7 @@ class MacroDef:
     body: Term  # macro-free
 
 
-@dataclass
+@dataclass(frozen=True)
 class IdentityStatement:
     variables: tuple[str, ...]
     hypotheses: tuple[Equation, ...]
@@ -145,6 +145,13 @@ class IdentityStatement:
         if self.line is not None:
             return f"line {self.line}"
         return "<statement>"
+
+    # Like the derived tables of `LoopTable`, the compiled form lives in the
+    # instance ``__dict__``: built by the first `evaluate`, shared by every
+    # loop after it, and gone with the statement.
+    @cached_property
+    def _plan(self) -> "_Plan":
+        return _Plan(self)
 
 
 @dataclass
@@ -285,15 +292,13 @@ class _Parser:
             _, _, pos = self.tokens[self.i]
             raise ParseError("at most two alternatives in a conclusion", pos)
         self.expect("EOF")
-        stmt = IdentityStatement(
-            variables=(),
+        return IdentityStatement(
+            variables=_free_variables((*hypotheses, *conclusion)),
             hypotheses=hypotheses,
             conclusion=tuple(conclusion),
             name=name,
             macros=dict(self.macros),
         )
-        stmt.variables = _free_variables(stmt)
-        return stmt
 
     def equation(self) -> Equation:
         lhs, _, _ = self.term()
@@ -407,9 +412,9 @@ def _shape(term: Term, memo: dict | None = None) -> tuple[int, int]:
     return memo[id(term)]
 
 
-def _free_variables(stmt: IdentityStatement) -> tuple[str, ...]:
+def _free_variables(equations: tuple[Equation, ...]) -> tuple[str, ...]:
     seen: list[str] = []
-    for eq in (*stmt.hypotheses, *stmt.conclusion):
+    for eq in equations:
         for term in (eq.lhs, eq.rhs):
             for node in _walk(term):
                 if isinstance(node, Var) and node.name not in seen:
@@ -480,9 +485,7 @@ def parse_identity_file(text: str) -> list[IdentityStatement]:
                 macro = parse_macro(line, macros)
                 macros[macro.name] = macro
             else:
-                stmt = parse_identity(line, macros)
-                stmt.line = lineno
-                statements.append(stmt)
+                statements.append(replace(parse_identity(line, macros), line=lineno))
         except ParseError as err:
             raise ParseError(
                 f"line {lineno}: {err.message}", err.pos, err.expected
@@ -550,7 +553,9 @@ def expand_term(
     """Replace macro calls by their bodies; the result is macro-free.
 
     Inside a macro body, `args` maps the macro's parameters to its expanded
-    arguments, which are shared rather than copied.
+    arguments, which are shared rather than copied.  A subterm that holds no
+    macro call comes back as it is, so a compiled plan keeping the expanded
+    sides shares the statement's nodes wherever it can.
     """
     if isinstance(term, Var):
         return args.get(term.name, term) if args else term
@@ -561,9 +566,13 @@ def expand_term(
         return expand_term(t, macros, args)
 
     if isinstance(term, (Mul, LDiv, RDiv)):
-        return type(term)(sub(term.left), sub(term.right))
+        left, right = sub(term.left), sub(term.right)
+        if left is term.left and right is term.right:
+            return term
+        return type(term)(left, right)
     if isinstance(term, Pow):
-        return Pow(sub(term.arg), term.exponent)
+        arg = sub(term.arg)
+        return term if arg is term.arg else Pow(arg, term.exponent)
     if isinstance(term, MacroCall):
         macro = macros.get(term.name)
         if macro is None:
@@ -576,9 +585,10 @@ def expand_term(
 def eval_term(L: LoopTable, term: Term, env: Mapping[str, int]) -> int:
     """Evaluate a macro-free term under one assignment of elements to variables.
 
-    This tree walker defines the semantics; `evaluate` compiles terms instead,
-    falls back to this walker in a block that meets a missing inverse, and is
-    tested against it.
+    This tree walker defines the semantics.  `evaluate` instead compiles each
+    statement once and binds it to each loop's lookup tables; it falls back
+    to this walker in a block that meets a missing inverse, and is tested
+    against it.
     """
     if isinstance(term, Var):
         return env[term.name]
@@ -623,60 +633,82 @@ def _unary(table: tuple[int, ...], i: int):
     return partial_step if -1 in table else step
 
 
-class _Program:
-    """A statement compiled for one loop, evaluated a block at a time.
+class _Plan:
+    """A statement compiled once, for every loop it is evaluated on.
 
     A block holds every assignment of the last (at most two) variables for
     one assignment of the leading ones, so it has at most n^2 assignments.
     Every slot holds the values of one subterm over a block: first the
     variables, then the constant 1, then one slot per distinct compound
-    subterm.  `steps` fill the compound slots in the tree walker's order
-    (operands before their parent, the divisor of ``/`` first), which is
-    also the order of their table lookup.
+    subterm.  `keys` name the compound slots in slot order, which is the
+    tree walker's order (operands before their parent, the divisor of ``/``
+    first): ``(Mul|LDiv|RDiv, i, j)`` looks up slots i and j in a product or
+    division table, ``(Pow, i, k)`` looks up slot i in the k-th power table.
     """
 
-    TABLES = {Mul: "table", LDiv: "ldiv_table", RDiv: "rdiv_table"}
-
-    def __init__(self, L: LoopTable, stmt: IdentityStatement):
-        self.loop = L
+    def __init__(self, stmt: IdentityStatement):
         self.names = names = stmt.variables
-        self.slots: dict = {Var(v): i for i, v in enumerate(names)}
-        self.slots[One()] = len(names)
-        self.steps: dict[int, object] = {}
+        self.keys: list[tuple] = []
         # the expanded sides, which the tree walker reads in a poisoned block
         self.hyps, self.concl = (
             [(expand_term(eq.lhs, stmt.macros), expand_term(eq.rhs, stmt.macros)) for eq in eqs]
             for eqs in (stmt.hypotheses, stmt.conclusion)
         )
-        self.hyp_slots = [(self._compile(lhs), self._compile(rhs)) for lhs, rhs in self.hyps]
-        self.concl_slots = [(self._compile(lhs), self._compile(rhs)) for lhs, rhs in self.concl]
-        n = L.order
-        tail = min(len(names), 2)
-        self.leading = len(names) - tail
-        self.size = n**tail
-        self.columns = [[i // n**p % n for i in range(self.size)] for p in reversed(range(tail))]
+        slots: dict = {Var(v): i for i, v in enumerate(names)}
+        slots[One()] = len(names)
+        self.hyp_slots, self.concl_slots = (
+            [(self._compile(lhs, slots), self._compile(rhs, slots)) for lhs, rhs in sides]
+            for sides in (self.hyps, self.concl)
+        )
+        self.tail = min(len(names), 2)
+        self.leading = len(names) - self.tail
 
-    def _compile(self, term: Term) -> int:
+    def _compile(self, term: Term, slots: dict) -> int:
+        """The slot of `term`; `slots` numbers the subterms seen so far."""
         if isinstance(term, (Var, One)):
-            return self.slots[term]
+            return slots[term]
         if isinstance(term, RDiv):
             operands = (term.right, term.left)
         elif isinstance(term, (Mul, LDiv)):
             operands = (term.left, term.right)
         else:
             operands = (term.arg,)
-        key = (type(term), *(self._compile(t) for t in operands))
+        key = (type(term), *(self._compile(t, slots) for t in operands))
         if isinstance(term, Pow):
             key += (term.exponent,)
-        slot = self.slots.get(key)
+        slot = slots.get(key)
         if slot is None:
-            slot = self.slots[key] = len(self.slots)
-            L = self.loop
-            if isinstance(term, Pow):
-                self.steps[slot] = _unary(L.power_table(term.exponent), key[1])
-            else:
-                self.steps[slot] = _binary(getattr(L, self.TABLES[type(term)]), *key[1:])
+            slot = slots[key] = len(slots)
+            self.keys.append(key)
         return slot
+
+
+class _Program:
+    """A statement's plan bound to one loop, evaluated a block at a time.
+
+    Binding only looks up the loop's table for each step of the plan and
+    lays out the block's columns for the last variables.
+    """
+
+    TABLES = {Mul: "table", LDiv: "ldiv_table", RDiv: "rdiv_table"}
+
+    def __init__(self, L: LoopTable, plan: _Plan):
+        self.loop = L
+        self.plan = plan
+        self.steps = [
+            _unary(L.power_table(arg), i)
+            if op is Pow
+            else _binary(getattr(L, self.TABLES[op]), i, arg)
+            for op, i, arg in plan.keys
+        ]
+        n, tail = L.order, plan.tail
+        self.size = n**tail
+        # column p counts the digit of weight n^p: each element n^p times
+        # in a row, the whole run repeated to fill the block
+        self.columns = [
+            list(chain.from_iterable(map(repeat, range(n), repeat(n**p)))) * n ** (tail - 1 - p)
+            for p in reversed(range(tail))
+        ]
 
     def counterexample(self, prefix: tuple[int, ...]) -> tuple[int, ...] | None:
         """The first assignment extending `prefix` that falsifies the
@@ -702,26 +734,26 @@ class _Program:
     def _block_failure(self, prefix: tuple[int, ...]) -> int | None:
         size = self.size
         vals = [[v] * size for v in prefix] + self.columns + [[self.loop.identity] * size]
-        vals += [None] * len(self.steps)
-        for slot, step in self.steps.items():
-            vals[slot] = step(vals)
-        concl = [(vals[l], vals[r]) for l, r in self.concl_slots]
+        for step in self.steps:
+            vals.append(step(vals))
+        concl = [(vals[l], vals[r]) for l, r in self.plan.concl_slots]
         if any(lhs == rhs for lhs, rhs in concl):
             return None
         ok = [False] * size
         for lhs, rhs in concl:
             ok = list(map(operator.or_, ok, map(operator.eq, lhs, rhs)))
-        for l, r in self.hyp_slots:
+        for l, r in self.plan.hyp_slots:
             ok = list(map(operator.or_, ok, map(operator.ne, vals[l], vals[r])))
         return ok.index(False) if False in ok else None
 
     def _falsified_at(self, combo: tuple[int, ...]) -> bool:
         # The tree walker's order: hypotheses first, then the alternatives,
         # each stopping early, so the same missing inverse surfaces first.
-        L, env = self.loop, dict(zip(self.names, combo))
-        if any(eval_term(L, lhs, env) != eval_term(L, rhs, env) for lhs, rhs in self.hyps):
+        L, plan = self.loop, self.plan
+        env = dict(zip(plan.names, combo))
+        if any(eval_term(L, lhs, env) != eval_term(L, rhs, env) for lhs, rhs in plan.hyps):
             return False
-        return not any(eval_term(L, lhs, env) == eval_term(L, rhs, env) for lhs, rhs in self.concl)
+        return not any(eval_term(L, lhs, env) == eval_term(L, rhs, env) for lhs, rhs in plan.concl)
 
 
 def evaluate(
@@ -738,9 +770,11 @@ def evaluate(
     translation are only sound on automorphic loops; pass
     ``automorphic=True`` once that has been verified to silence the warning.
 
-    The statement is compiled once and evaluated in blocks of assignments;
-    the outcome is the tree walker's (`eval_term`): the same first
-    counterexample, or the same `InverseUnavailable`.
+    The statement is compiled once, on its first evaluation, into a plan
+    that every loop shares; each call binds that plan to `L`'s lookup tables
+    and evaluates it in blocks of assignments.  The outcome is the tree
+    walker's (`eval_term`): the same first counterexample, or the same
+    `InverseUnavailable`.
     """
     names = stmt.variables
     if len(names) > max_vars:
@@ -760,8 +794,9 @@ def evaluate(
             NotAutomorphicWarning,
             stacklevel=2,
         )
-    program = _Program(L, stmt)
-    for prefix in product(L.elements, repeat=program.leading):
+    plan = stmt._plan
+    program = _Program(L, plan)
+    for prefix in product(L.elements, repeat=plan.leading):
         combo = program.counterexample(prefix)
         if combo is not None:
             return Counterexample(dict(zip(names, combo)))

@@ -1,4 +1,5 @@
 import warnings
+from itertools import permutations
 
 import pytest
 
@@ -24,7 +25,7 @@ from loopcheck.halfiso import (
 )
 from loopcheck.catalog import generate_loops
 from loopcheck.perms import invert, isomorphisms
-from loopcheck.table import cyclic_group, opposite
+from loopcheck.table import NoTwoSidedInverse, cyclic_group, opposite
 
 
 def all_half_isos(Q, R):
@@ -167,6 +168,59 @@ def test_power_map_on_power_associative(c7, s3):
     for Q in (c7, s3):
         for f in all_half_isos(Q, Q):
             assert power_map_violation(f) is None
+
+
+def _scalar_power_map_violation(f):
+    """The definition, one power at a time: the oracle for the table reads."""
+    Q, R, m = f.source, f.target, f.mapping
+    for x in Q.elements:
+        for k in range(-Q.order, Q.order + 1):
+            if m[Q.power(x, k)] != R.power(m[x], k):
+                return (x, k)
+    return None
+
+
+def _power_map_outcome(violation, f):
+    try:
+        return violation(f)
+    except NoTwoSidedInverse as err:
+        return (type(err).__name__, err.element, err.left, err.right)
+
+
+def test_power_map_violation_matches_scalar_definition(star, dot):
+    loops = [e.loop for n in range(1, 6) for e in generate_loops(n)]
+    maps = [
+        f
+        for Q in loops
+        for R in loops
+        if Q.order == R.order
+        for f in all_half_isos(Q, R)
+    ]
+    maps += [f for Q in (star, dot) for R in (star, dot) for f in all_half_isos(Q, R)]
+    # bijections that are not half-isomorphisms give violation witnesses
+    maps += [
+        HalfIso(Q, R, p)
+        for Q in loops
+        for R in loops
+        if Q.order == R.order <= 4
+        for p in permutations(Q.elements)
+    ]
+    raised = {}
+    kinds = set()
+    for f in maps:
+        want = _power_map_outcome(_scalar_power_map_violation, f)
+        assert _power_map_outcome(power_map_violation, f) == want, f
+        if want is None:
+            kinds.add("none")
+        elif isinstance(want[0], str):
+            kinds.add("raises")
+            key = (f.source.name, f.target.name)
+            raised[key] = raised.get(key, 0) + 1
+        else:
+            kinds.add("witness")
+    assert kinds == {"none", "raises", "witness"}
+    assert raised[("example21_star", "example21_dot")] == 6
+    assert raised[("example21_dot", "example21_dot")] == 1
 
 
 def test_semi_homomorphism_iso_and_anti(s3, c7):

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import FrozenInstanceError
 from itertools import product
 
 import pytest
@@ -32,7 +33,7 @@ from loopcheck.identities import (
     term_to_text,
     _BUILTIN_TEXTS,
 )
-from loopcheck.catalog import generate_loops
+from loopcheck.catalog import builtin_loop, generate_loops
 from loopcheck.perms import compose, invert
 from loopcheck.table import NotAutomorphicWarning, cyclic_group
 
@@ -379,3 +380,32 @@ def test_deep_nesting_is_a_parse_error():
                           + ")" * MAX_NESTING + " = x^2 * x^-1")
     assert parse_identity(statement_to_text(stmt)).conclusion == stmt.conclusion
     assert evaluate(cyclic_group(2), stmt) is None
+
+
+def test_plan_is_built_once_and_shared_across_loops(dot):
+    # Interleaved orders, with a loop that has no inverses for 4 elements
+    # between two groups of order 32; a program bound to one loop and kept
+    # on the statement would answer for the wrong tables.
+    c2_5 = builtin_loop("c2xc2xc2xc2xc2")
+    loops = (c2_5, dot, builtin_loop("c4xc8"), c2_5)
+    statements = builtin_library()
+    plans = {}
+    want = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NotAutomorphicWarning)
+        for L in loops:
+            for stmt in statements:
+                if (L, stmt) not in want:
+                    want[L, stmt] = _tree_walk(L, stmt)
+                assert _compiled(L, stmt) == want[L, stmt], (L.name, stmt.label())
+                assert stmt._plan is plans.setdefault(stmt.label(), stmt._plan)
+    assert len(plans) == len(statements)
+
+
+def test_plan_is_built_on_first_evaluation_not_at_parse_time():
+    stmt = parse_identity("x * (y * x) = x * y * x")
+    assert "_plan" not in vars(stmt)
+    with pytest.raises(FrozenInstanceError):
+        stmt.variables = ("x",)
+    assert evaluate(cyclic_group(3), stmt) is None
+    assert "_plan" in vars(stmt)
