@@ -24,7 +24,6 @@ first appearance) and reports the first counterexample, if any.
 """
 from __future__ import annotations
 
-import operator
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
@@ -613,38 +612,101 @@ class _Poison(Exception):
     """A block asked for the inverse of an element that has none."""
 
 
-def _binary(rows, i: int, j: int):
-    def step(vals):
-        return [rows[a][b] for a, b in zip(vals[i], vals[j])]
+# Blocks are byte strings: `MAX_ORDER` is 64, so every element fits in a
+# byte and 255 is free to mark a missing inverse in a power table.
+_MISSING = 255
+_EQUAL = bytes((1,)) + bytes(255)  # marks a zero byte of lhs ^ rhs
+_DIFFERS = bytes((0,)) + bytes((1,)) * 255  # marks a nonzero byte
 
-    return step
+
+def _translations(L: LoopTable, attr: str, axis: str | int):
+    """`bytes.translate` tables for one of `L`'s lookup tables.
+
+    For ``table``, ``ldiv_table`` and ``rdiv_table``, `axis` is ``"rows"``
+    or ``"cols"``: the tuple holds one translation per row, or per column,
+    so ``rows[a][b] == cols[b][a]`` is the table's entry.  For
+    ``power_table``, `axis` is the exponent and the result is one
+    translation, with `_MISSING` where there is no inverse.  Like
+    `per_loop`, each is built on first use and kept in the loop's
+    ``__dict__``.
+    """
+    key = f"{__name__}.{attr}.{axis}"
+    memo = L.__dict__
+    if key not in memo:
+        pad = bytes(256 - L.order)
+        if attr == "power_table":
+            powers = L.power_table(axis)
+            memo[key] = bytes(_MISSING if v < 0 else v for v in powers) + pad
+        else:
+            rows = getattr(L, attr)
+            memo[key] = tuple(bytes(r) + pad for r in (zip(*rows) if axis == "cols" else rows))
+    return memo[key]
 
 
-def _unary(table: tuple[int, ...], i: int):
-    def step(vals):
-        return [table[a] for a in vals[i]]
+# The kernels of a plan's steps.  Each takes the step's translation tables,
+# its two operand blocks (the one whose shape chose the kernel first) and the
+# order n, and returns the block of the result.
 
-    def partial_step(vals):
-        out = [table[a] for a in vals[i]]
-        if -1 in out:
-            raise _Poison
-        return out
+def _power(table: bytes, a: bytes, _: bytes, n: int) -> bytes:
+    out = a.translate(table)
+    if _MISSING in out:
+        raise _Poison
+    return out
 
-    return partial_step if -1 in table else step
+
+def _by_constant(tables, c: bytes, b: bytes, n: int) -> bytes:
+    # c holds one value throughout the block
+    return b.translate(tables[c[0]])
+
+
+def _by_runs(tables, r: bytes, b: bytes, n: int) -> bytes:
+    # r is constant along each run of n: run s is r[s]
+    return b"".join([b[s : s + n].translate(tables[r[s]]) for s in range(0, len(b), n)])
+
+
+def _by_strides(tables, c: bytes, b: bytes, n: int) -> bytes:
+    # c is constant along each stride-n slice: slice y is c[y]
+    out = bytearray(len(b))
+    for y in range(n):
+        out[y::n] = b[y::n].translate(tables[c[y]])
+    return bytes(out)
+
+
+def _pointwise(rows, a: bytes, b: bytes, n: int) -> bytes:
+    return bytes([rows[x][y] for x, y in zip(a, b)])
+
+
+def _positions(lhs: bytes, rhs: bytes, marks: bytes) -> int:
+    """An int whose big-endian bytes are ``marks[lhs[i] ^ rhs[i]]``."""
+    size = len(lhs)
+    xor = int.from_bytes(lhs, "big") ^ int.from_bytes(rhs, "big")
+    return int.from_bytes(xor.to_bytes(size, "big").translate(marks), "big")
 
 
 class _Plan:
     """A statement compiled once, for every loop it is evaluated on.
 
-    A block holds every assignment of the last (at most two) variables for
-    one assignment of the leading ones, so it has at most n^2 assignments.
-    Every slot holds the values of one subterm over a block: first the
-    variables, then the constant 1, then one slot per distinct compound
-    subterm.  `keys` name the compound slots in slot order, which is the
-    tree walker's order (operands before their parent, the divisor of ``/``
-    first): ``(Mul|LDiv|RDiv, i, j)`` looks up slots i and j in a product or
-    division table, ``(Pow, i, k)`` looks up slot i in the k-th power table.
+    A block holds every assignment of the last (at most two) variables, the
+    tail, for one assignment of the leading ones, so it has n^tail <= n^2
+    assignments.  Every slot holds the values of one subterm over a block:
+    first the variables, then the constant 1, then one slot per distinct
+    compound subterm.  `keys` name the compound slots in slot order, which
+    is the tree walker's order (operands before their parent, the divisor of
+    ``/`` first): ``(Mul|LDiv|RDiv, i, j)`` looks up slots i and j in a
+    product or division table, ``(Pow, i, k)`` looks up slot i in the k-th
+    power table.
+
+    A slot's shape says which tail variables its values depend on: bit 1
+    the first, bit 2 the second (a single tail variable counts as both).
+    So a shape-0 slot is constant over the block, a shape-1 slot along each
+    run of n assignments, and a shape-2 slot along each stride-n slice.
+    `steps` turn the keys into kernels chosen by those shapes:
+    ``(kernel, attr, axis, i, j)`` computes a slot from slots i and j
+    through the translations ``_translations(L, attr, axis)``, so binding a
+    plan to a loop only looks tables up.
     """
+
+    TABLES = {Mul: "table", LDiv: "ldiv_table", RDiv: "rdiv_table"}
 
     def __init__(self, stmt: IdentityStatement):
         self.names = names = stmt.variables
@@ -662,6 +724,27 @@ class _Plan:
         )
         self.tail = min(len(names), 2)
         self.leading = len(names) - self.tail
+        shapes = [0] * self.leading + ([1, 2] if self.tail == 2 else [3] * self.tail) + [0]
+        self.steps = []
+        for op, i, arg in self.keys:
+            if op is Pow:
+                shapes.append(shapes[i])
+                self.steps.append((_power, "power_table", arg, i, i))
+            else:
+                shapes.append(shapes[i] | shapes[arg])
+                self.steps.append(self._binary_step(self.TABLES[op], i, arg, shapes))
+
+    @staticmethod
+    def _binary_step(attr: str, i: int, j: int, shapes: list[int]) -> tuple:
+        """The kernel for ``table[slot i][slot j]``: the first operand whose
+        shape allows one translation per block, run or stride comes first,
+        read through rows if it is slot i and through columns if slot j."""
+        for kernel, shape in ((_by_constant, 0), (_by_runs, 1), (_by_strides, 2)):
+            if shapes[i] == shape:
+                return (kernel, attr, "rows", i, j)
+            if shapes[j] == shape:
+                return (kernel, attr, "cols", j, i)
+        return (_pointwise, attr, "rows", i, j)
 
     def _compile(self, term: Term, slots: dict) -> int:
         """The slot of `term`; `slots` numbers the subterms seen so far."""
@@ -683,32 +766,36 @@ class _Plan:
         return slot
 
 
+@lru_cache(maxsize=None)  # at most 3 * MAX_ORDER entries
+def _columns(n: int, tail: int) -> tuple[bytes, ...]:
+    """The blocks of the tail variables, first variable first.
+
+    Column p counts the digit of weight n^p: each element n^p times in a
+    row, the whole run repeated to fill the block.
+    """
+    return tuple(
+        bytes(chain.from_iterable(map(repeat, range(n), repeat(n**p)))) * n ** (tail - 1 - p)
+        for p in reversed(range(tail))
+    )
+
+
 class _Program:
     """A statement's plan bound to one loop, evaluated a block at a time.
 
-    Binding only looks up the loop's table for each step of the plan and
-    lays out the block's columns for the last variables.
+    Binding only looks up the loop's translations for each step of the plan
+    and lays out the block's byte strings for the tail variables.  A block
+    is a `bytes` of length n^tail, one element per assignment; orders stop
+    at `MAX_ORDER` = 64, so no element reaches the marker `_MISSING`.
     """
-
-    TABLES = {Mul: "table", LDiv: "ldiv_table", RDiv: "rdiv_table"}
 
     def __init__(self, L: LoopTable, plan: _Plan):
         self.loop = L
         self.plan = plan
         self.steps = [
-            _unary(L.power_table(arg), i)
-            if op is Pow
-            else _binary(getattr(L, self.TABLES[op]), i, arg)
-            for op, i, arg in plan.keys
+            (kernel, _translations(L, attr, axis), i, j) for kernel, attr, axis, i, j in plan.steps
         ]
-        n, tail = L.order, plan.tail
-        self.size = n**tail
-        # column p counts the digit of weight n^p: each element n^p times
-        # in a row, the whole run repeated to fill the block
-        self.columns = [
-            list(chain.from_iterable(map(repeat, range(n), repeat(n**p)))) * n ** (tail - 1 - p)
-            for p in reversed(range(tail))
-        ]
+        self.size = L.order**plan.tail
+        self.columns = _columns(L.order, plan.tail)
 
     def counterexample(self, prefix: tuple[int, ...]) -> tuple[int, ...] | None:
         """The first assignment extending `prefix` that falsifies the
@@ -732,19 +819,23 @@ class _Program:
         return (*prefix, *(col[i] for col in self.columns))
 
     def _block_failure(self, prefix: tuple[int, ...]) -> int | None:
-        size = self.size
-        vals = [[v] * size for v in prefix] + self.columns + [[self.loop.identity] * size]
-        for step in self.steps:
-            vals.append(step(vals))
+        size, n = self.size, self.loop.order
+        vals = [bytes((v,)) * size for v in prefix]
+        vals += self.columns
+        vals.append(bytes((self.loop.identity,)) * size)
+        for kernel, tables, i, j in self.steps:
+            vals.append(kernel(tables, vals[i], vals[j], n))
         concl = [(vals[l], vals[r]) for l, r in self.plan.concl_slots]
         if any(lhs == rhs for lhs, rhs in concl):
             return None
-        ok = [False] * size
+        # byte i of `bad` is 1 where every alternative fails and every
+        # hypothesis holds; the most significant one is the first
+        bad = -1
         for lhs, rhs in concl:
-            ok = list(map(operator.or_, ok, map(operator.eq, lhs, rhs)))
+            bad &= _positions(lhs, rhs, _DIFFERS)
         for l, r in self.plan.hyp_slots:
-            ok = list(map(operator.or_, ok, map(operator.ne, vals[l], vals[r])))
-        return ok.index(False) if False in ok else None
+            bad &= _positions(vals[l], vals[r], _EQUAL)
+        return size - 1 - (bad.bit_length() - 1) // 8 if bad else None
 
     def _falsified_at(self, combo: tuple[int, ...]) -> bool:
         # The tree walker's order: hypotheses first, then the alternatives,
@@ -771,9 +862,11 @@ def evaluate(
     ``automorphic=True`` once that has been verified to silence the warning.
 
     The statement is compiled once, on its first evaluation, into a plan
-    that every loop shares; each call binds that plan to `L`'s lookup tables
-    and evaluates it in blocks of assignments.  The outcome is the tree
-    walker's (`eval_term`): the same first counterexample, or the same
+    that every loop shares; each call binds that plan to `L`'s translation
+    tables and evaluates it in blocks of assignments, each block a byte
+    string that `bytes.translate` maps through those tables (orders stop at
+    `MAX_ORDER` = 64, so every element fits in a byte).  The outcome is the
+    tree walker's (`eval_term`): the same first counterexample, or the same
     `InverseUnavailable`.
     """
     names = stmt.variables
@@ -882,12 +975,15 @@ def builtin_macros() -> dict[str, MacroDef]:
 
 @lru_cache(maxsize=1)
 def builtin_library() -> tuple[IdentityStatement, ...]:
-    """The named statements that hold in every automorphic loop.
+    """The named statements of the paper's corpus on automorphic loops.
 
-    Every statement here is a theorem for automorphic loops (the cor32/co1/
-    theorem31 quasi-identities in both directions, the two lemma families,
-    AAIP and its corollary, flexibility, the middle-translation inverse law,
-    and the translation power-commuting family).
+    They are the cor32/co1/theorem31 quasi-identities in both directions,
+    the two lemma families, AAIP and its corollary, flexibility, the
+    middle-translation inverse law, and the translation power-commuting
+    family.  Every one holds in every automorphic loop except ``co1_fwd``,
+    the forward half of the commuting condition.  It fails in both
+    non-commutative automorphic loops of order 6: in S₃ at any two distinct
+    transpositions (x² = 1 makes the hypothesis hold), and in n6_072.
     """
     macros = builtin_macros()
     return tuple(

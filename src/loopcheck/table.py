@@ -123,13 +123,23 @@ class LoopTable:
 
     def power_table(self, k: int) -> tuple[int, ...]:
         """``a^k`` for every element a; -1 where k < 0 and a has no
-        two-sided inverse."""
+        two-sided inverse.
+
+        Each table is one lookup per element from a cached neighbour:
+        ``a^j = a^(j-1) * a`` from the table below it, and ``a^-k`` is
+        ``(a^-1)^k``, the table for k read at the inverses.
+        """
         tables = self._power_tables
         if k not in tables:
-            inv = self.inverse_table
-            tables[k] = tuple(
-                -1 if k < 0 and inv[a] < 0 else self.power(a, k) for a in self.elements
-            )
+            if k < 0:
+                pos = self.power_table(-k)
+                tables[k] = tuple(-1 if i < 0 else pos[i] for i in self.inverse_table)
+            else:
+                tables.setdefault(0, (self.identity,) * self.order)
+                rows = self.table
+                start = max(j for j in tables if 0 <= j <= k)
+                for j in range(start + 1, k + 1):
+                    tables[j] = tuple(rows[p][a] for a, p in enumerate(tables[j - 1]))
         return tables[k]
 
     def element_order(self, a: int) -> int:

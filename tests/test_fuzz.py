@@ -1,24 +1,37 @@
 """Property tests: every input text either parses or is refused with a
-`LoopError`, the CLI answers any file with exit code 0, 1 or 2, and pruned
-half-isomorphism enumeration agrees with the naive oracle on any labeling."""
+`LoopError`, the CLI answers any file with exit code 0, 1 or 2, pruned
+half-isomorphism enumeration agrees with the naive oracle on any labeling,
+and compiled identity evaluation agrees with the tree walker."""
 import contextlib
 import functools
 import io
 import re
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from loopcheck.catalog import (
     builtin_loops,
+    example21_dot,
     generate_loops,
     parse_loop_file,
     write_loop_file,
 )
 from loopcheck.cli import main
 from loopcheck.halfiso import enumerate_half_isos, naive_half_isos
-from loopcheck.identities import parse_identity, parse_identity_file
-from loopcheck.table import LoopError, cyclic_group, make_loop
+from loopcheck.identities import (
+    LDiv,
+    Mul,
+    One,
+    Pow,
+    RDiv,
+    Var,
+    parse_identity,
+    parse_identity_file,
+    term_to_text,
+)
+from loopcheck.table import LoopError, cyclic_group, is_associative, make_loop
+from test_identities import _compiled, _tree_walk
 
 # Arbitrary text, and text over each format's own alphabet, which reaches
 # past the first token far more often.
@@ -137,3 +150,50 @@ def test_pruned_half_isos_equal_naive(data):
     R = relabeled(data.draw, data.draw(st.sampled_from(pool[n])))
     pruned = [f.mapping for f in enumerate_half_isos(Q, R)]
     assert pruned == [f.mapping for f in naive_half_isos(Q, R)]
+
+
+@functools.cache
+def non_associative_pool():
+    """The non-associative loops of orders 5 and 6, and the order-7 dot
+    table, which has elements without an inverse."""
+    loops = [e.loop for n in (5, 6) for e in generate_loops(n) if not is_associative(e.loop)]
+    return loops + [example21_dot()]
+
+
+def terms(names):
+    return st.recursive(
+        st.sampled_from([Var(v) for v in names] + [One()]),
+        lambda sub: st.one_of(
+            st.builds(Mul, sub, sub),
+            st.builds(LDiv, sub, sub),
+            st.builds(RDiv, sub, sub),
+            st.builds(Pow, sub, st.integers(-2, 2)),
+        ),
+        max_leaves=6,
+    )
+
+
+@st.composite
+def statements(draw):
+    """A statement over at most three variables with at most one
+    hypothesis and at most two alternatives."""
+    names = ("x", "y", "z")[: draw(st.integers(1, 3))]
+    equation = st.builds(
+        lambda lhs, rhs: f"{term_to_text(lhs)} = {term_to_text(rhs)}", terms(names), terms(names)
+    )
+    hypotheses = draw(st.lists(equation, max_size=1))
+    conclusion = draw(st.lists(equation, min_size=1, max_size=2))
+    text = " | ".join(conclusion)
+    stmt = parse_identity(f"{hypotheses[0]} => {text}" if hypotheses else text)
+    assume(stmt.variables)
+    return stmt
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), statements())
+def test_random_statements_evaluate_as_the_tree_walker(data, stmt):
+    # the dot table half the time: missing inverses poison blocks
+    pool = non_associative_pool()
+    L = data.draw(st.one_of(st.just(pool[-1]), st.sampled_from(pool[:-1])))
+    L = relabeled(data.draw, L)
+    assert _compiled(L, stmt) == _tree_walk(L, stmt)

@@ -344,6 +344,14 @@ ORACLE_TEXTS = (
     "x * y * z * w = w * (z * (y * x))",
     "1 = 1",
     "x^-1 = x",
+    # One entry per kernel.  The last two variables vary over a block, the
+    # first of them along runs and the second along strides; any before
+    # them are constant over it.
+    "x * y * z = z * (y * x)",  # constant operands, left and right
+    "x * y = y * x * (x * 1)",  # run operands, left and right
+    "x * y * y = y * (x * y)",  # stride operands, left and right
+    "x * y * (y * x) = y * x * (x * y)",  # no operand constant along anything
+    r"(x * y) \ (z * w) = w / (y * x) * z | z = w",  # leading variables feed constants
 )
 
 
@@ -351,7 +359,8 @@ def test_compiled_evaluate_matches_tree_walker(catalog5, star, dot, s3):
     loops = [e.loop for n in range(1, 5) for e in generate_loops(n)]
     loops += [e.loop for e in catalog5] + [star, dot, s3]
     macros = builtin_macros()
-    statements = list(builtin_library()) + [parse_identity(t, macros) for t in ORACLE_TEXTS]
+    oracle = [parse_identity(t, macros) for t in ORACLE_TEXTS]
+    statements = list(builtin_library()) + oracle
     seen = set()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NotAutomorphicWarning)
@@ -361,6 +370,17 @@ def test_compiled_evaluate_matches_tree_walker(catalog5, star, dot, s3):
                 assert _compiled(L, stmt) == want, (L.name, statement_to_text(stmt))
                 seen.add(want if isinstance(want, str) else type(want).__name__)
     assert seen == {"holds", "dict", "tuple"}  # every kind of outcome occurs
+    # every kernel runs, on each axis it can read
+    kernels = {
+        (kernel.__name__, axis if kernel.__name__ != "_power" else None)
+        for stmt in oracle
+        for kernel, _, axis, _, _ in stmt._plan.steps
+    }
+    sided = ("_by_constant", "_by_runs", "_by_strides")
+    assert kernels == {(name, axis) for name in sided for axis in ("rows", "cols")} | {
+        ("_pointwise", "rows"),
+        ("_power", None),
+    }
 
 
 def test_deep_nesting_is_a_parse_error():

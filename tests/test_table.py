@@ -126,6 +126,28 @@ def test_power(star, dot):
         dot.power(1, -1)
 
 
+def _power_or_missing(L, a, k):
+    try:
+        return L.power(a, k)
+    except NoTwoSidedInverse:
+        return -1
+
+
+def test_power_tables_match_power(dot):
+    # Fresh copies ask for the exponents in three orders, so each table is
+    # built from whichever neighbours happen to be cached.
+    for L in [e.loop for n in range(1, 6) for e in generate_loops(n)] + [dot]:
+        n = L.order
+        ks = list(range(-n, n + 1))
+        for order in (ks, ks[::-1], ks[n::2] + ks[::-2]):
+            M = make_loop(L.table)
+            for k in order:
+                assert M.power_table(k) == tuple(
+                    _power_or_missing(L, a, k) for a in L.elements
+                ), (L.name, k)
+    assert -1 in dot.power_table(-1)
+
+
 def test_element_order(star, dot):
     assert star.element_order(star.identity) == 1
     assert all(star.element_order(a) == 7 for a in range(1, 7))
