@@ -317,7 +317,7 @@ def naive_half_isos(Q: LoopTable, R: LoopTable) -> Iterator[HalfIso]:
 def conjugation_map(L: LoopTable, x: int) -> Perm:
     """The inner mapping u -> x^-1 * u * x (right-translate by x, then
     left-translate by the inverse of x)."""
-    return compose(L.right_translation(x), L.left_translation(L.inverse(x)))
+    return compose(L.columns[x], L.table[L.inverse(x)])
 
 
 def conjugation_transport_violations(f: HalfIso) -> list[tuple[int, int, str]]:

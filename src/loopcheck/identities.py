@@ -639,7 +639,9 @@ def _translations(L: LoopTable, attr: str, axis: str | int):
             memo[key] = bytes(_MISSING if v < 0 else v for v in powers) + pad
         else:
             rows = getattr(L, attr)
-            memo[key] = tuple(bytes(r) + pad for r in (zip(*rows) if axis == "cols" else rows))
+            if axis == "cols":
+                rows = L.columns if attr == "table" else zip(*rows)
+            memo[key] = tuple(bytes(r) + pad for r in rows)
     return memo[key]
 
 

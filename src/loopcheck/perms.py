@@ -12,6 +12,7 @@ from typing import Iterable, Iterator
 
 from .table import (
     LoopTable,
+    _first_difference,
     _getter,
     is_associative,
     is_power_associative,
@@ -54,17 +55,15 @@ def inner_generators(L: LoopTable) -> Iterator[tuple[str, Perm]]:
     Labels use 1-based element names.  Each mapping is two C compositions
     through translation getters built once per call: R(x,y) is
     ``rget[x](rget[y](R(x*y)^-1))``, and L(x,y) and T(x) likewise.  The
+    inverse translations are rows of the loop's division tables.  The
     mappings are built as they are yielded, so a caller that stops early
     builds no more of them.
     """
     n = L.order
     t = L.table
-    rights = [L.right_translation(a) for a in range(n)]
-    lefts = [L.left_translation(a) for a in range(n)]
-    rights_inv = [invert(p) for p in rights]
-    lefts_inv = [invert(p) for p in lefts]
-    rget = [_getter(p) for p in rights]
-    lget = [_getter(p) for p in lefts]
+    rights_inv, lefts_inv = L.rdiv_table, L.ldiv_table
+    rget = [_getter(p) for p in L.columns]
+    lget = [_getter(p) for p in t]
     for x in range(n):
         for y in range(n):
             yield f"R({x + 1},{y + 1})", rget[x](rget[y](rights_inv[t[x][y]]))
@@ -228,8 +227,7 @@ def schreier_sims(gens: Iterable[Perm], degree: int, base: Iterable[int] = ()
 def mlt_group(L: LoopTable) -> StabilizerChain:
     """Mlt(L), generated by the distinct translations (left ones first), as
     a stabilizer chain whose base starts at the identity."""
-    translations = [*map(L.left_translation, L.elements),
-                    *map(L.right_translation, L.elements)]
+    translations = [*L.table, *L.columns]
     return schreier_sims(translations, L.order, base=(L.identity,))
 
 
@@ -258,7 +256,7 @@ def automorphism_violation(L: LoopTable, p: Perm) -> tuple[int, int] | None:
     for a, row in enumerate(t):
         lhs, rhs = _getter(row)(p), pget(t[p[a]])
         if lhs != rhs:
-            return (a, next(b for b in L.elements if lhs[b] != rhs[b]))
+            return (a, _first_difference(lhs, rhs))
     return None
 
 

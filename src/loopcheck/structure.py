@@ -10,9 +10,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import eq
 
-from .table import LoopError, LoopTable, multiplication_closure
-from .perms import compose, invert
+from .table import (
+    LoopError,
+    LoopTable,
+    _first_difference,
+    _getter,
+    multiplication_closure,
+    squaring_map,
+)
 
 
 @dataclass(frozen=True)
@@ -63,20 +70,35 @@ def commutant(L: LoopTable, S) -> frozenset[int]:
     )
 
 
+def _squared_condition_disagreement(L: LoopTable, partners) -> tuple[int, int, str] | None:
+    """Least (x, y, direction) where x*(x*y) = (y*x)*x and p*y = y*p
+    disagree, with p = ``partners[x]``.
+
+    For each x, two C compositions give x*(x*-) and (-*x)*x; when they agree
+    everywhere and row p equals column p, x has no witness.  Otherwise the
+    two conditions are compared as lists of booleans.
+    """
+    rows, cols = L.table, L.columns
+    for x, p in enumerate(partners):
+        row, col = rows[x], cols[x]
+        twice_left, twice_right = _getter(row)(row), _getter(col)(col)
+        if twice_left == twice_right and rows[p] == cols[p]:
+            continue
+        lhs = list(map(eq, twice_left, twice_right))
+        rhs = list(map(eq, rows[p], cols[p]))
+        if lhs != rhs:
+            y = _first_difference(lhs, rhs)
+            return (x, y, "forward" if lhs[y] else "backward")
+    return None
+
+
 def co1_violation(L: LoopTable) -> tuple[int, int, str] | None:
     """Least (x, y, direction) where x*(x*y) = (y*x)*x and x*y = y*x disagree.
 
     direction 'forward' means the squared condition held but the pair does
     not commute; 'backward' is the converse (impossible in flexible loops).
     """
-    t = L.table
-    for x in L.elements:
-        for y in L.elements:
-            lhs = t[x][t[x][y]] == t[t[y][x]][x]
-            rhs = t[x][y] == t[y][x]
-            if lhs != rhs:
-                return (x, y, "forward" if lhs else "backward")
-    return None
+    return _squared_condition_disagreement(L, L.elements)
 
 
 def satisfies_co1(L: LoopTable) -> bool:
@@ -84,14 +106,21 @@ def satisfies_co1(L: LoopTable) -> bool:
 
 
 def co2_violation(L: LoopTable) -> tuple[int, int, str] | None:
-    """Least (x, y, direction) where T(x)^2 fixing y and T(x) fixing y disagree."""
-    for x in L.elements:
-        tx = compose(L.right_translation(x), invert(L.left_translation(x)))
-        for y in L.elements:
-            fixed2 = tx[tx[y]] == y
-            fixed1 = tx[y] == y
-            if fixed2 != fixed1:
-                return (x, y, "forward" if fixed2 else "backward")
+    """Least (x, y, direction) where T(x)^2 fixing y and T(x) fixing y disagree.
+
+    T(x) = Rx Lx^-1 sends y to x\\(y*x): the row of ``ldiv_table`` at x read
+    at column x.
+    """
+    ident = tuple(L.elements)
+    for x, col in enumerate(L.columns):
+        tx = _getter(col)(L.ldiv_table[x])
+        if tx == ident:
+            continue
+        fixed1 = list(map(eq, tx, ident))
+        fixed2 = list(map(eq, _getter(tx)(tx), ident))
+        if fixed2 != fixed1:
+            y = _first_difference(fixed2, fixed1)
+            return (x, y, "forward" if fixed2[y] else "backward")
     return None
 
 
@@ -101,15 +130,7 @@ def satisfies_co2(L: LoopTable) -> bool:
 
 def theorem31_violation(L: LoopTable) -> tuple[int, int, str] | None:
     """Least (x, y, direction) where x*(x*y) = (y*x)*x and x^2*y = y*x^2 disagree."""
-    t = L.table
-    for x in L.elements:
-        x2 = t[x][x]
-        for y in L.elements:
-            lhs = t[x][t[x][y]] == t[t[y][x]][x]
-            rhs = t[x2][y] == t[y][x2]
-            if lhs != rhs:
-                return (x, y, "forward" if lhs else "backward")
-    return None
+    return _squared_condition_disagreement(L, squaring_map(L))
 
 
 def cor21_violations(

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
-from operator import itemgetter
+from operator import eq, itemgetter
 
 MAX_ORDER = 64
 
@@ -92,7 +92,7 @@ class LoopTable:
 
     def right_translation(self, a: int) -> tuple[int, ...]:
         """The permutation x -> x*a (column a of the table)."""
-        return tuple(row[a] for row in self.table)
+        return self.columns[a]
 
     def has_two_sided_inverse(self, a: int) -> bool:
         return self.inverse_table[a] >= 0
@@ -159,6 +159,12 @@ class LoopTable:
     # lookup costs about what ``mul`` costs, and the tables die with the loop.
 
     @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """The transposed table: ``columns[b][a]`` is a*b, so column b is the
+        right translation by b."""
+        return tuple(zip(*self.table))
+
+    @cached_property
     def ldiv_table(self) -> tuple[tuple[int, ...], ...]:
         """``ldiv_table[a][b]`` is the x with a*x = b."""
         n = self.order
@@ -183,12 +189,9 @@ class LoopTable:
         """The two-sided inverse of every element; -1 marks elements whose
         left and right inverses differ."""
         e = self.identity
-        out = []
-        for a in self.elements:
-            right = self.ldiv(a, e)
-            left = self.rdiv(a, e)
-            out.append(right if left == right else -1)
-        return tuple(out)
+        rights = [row.index(e) for row in self.table]
+        lefts = [col.index(e) for col in self.columns]
+        return tuple(r if r == l else -1 for r, l in zip(rights, lefts))
 
     @cached_property
     def order_table(self) -> tuple[int, ...]:
@@ -255,6 +258,12 @@ def _getter(p: tuple[int, ...]):
     return itemgetter(*p)
 
 
+def _first_difference(p, q) -> int:
+    """The least index at which the equal-length sequences p and q differ;
+    they must differ somewhere.  One C pass builds the comparison list."""
+    return list(map(eq, p, q)).index(False)
+
+
 def make_loop(matrix, name: str | None = None) -> LoopTable:
     """Validate a square 0-based integer matrix as a loop Cayley table.
 
@@ -300,43 +309,55 @@ def is_uniquely_2_divisible(L: LoopTable) -> bool:
 
 # ---------------------------------------------------------------------------
 # predicates; each *_violation returns the lexicographically least failing
-# tuple, or None when the property holds
+# tuple, or None when the property holds.  Each compares whole rows, columns
+# or compositions of them in C, and scans only a pair that differs for its
+# least witness.
 
 @per_loop
 def commutativity_violation(L: LoopTable) -> tuple[int, int] | None:
-    t = L.table
-    for a in L.elements:
-        for b in L.elements:
-            if t[a][b] != t[b][a]:
-                return (a, b)
+    """Least (a, b) with a*b != b*a: row a against column a."""
+    for a, (row, col) in enumerate(zip(L.table, L.columns)):
+        if row != col:
+            return (a, _first_difference(row, col))
     return None
 
 
 @per_loop
 def associativity_violation(L: LoopTable) -> tuple[int, int, int] | None:
-    """Least (a, b, c) with (a*b)*c != a*(b*c), or None.
+    """Least (a, b, c) with (a*b)*c != a*(b*c), or None."""
+    return _associativity_violation_of(L.table)
 
-    For each (a, b), one C call compares the row of a*b with a*(b*-), read
-    as row a at the entries of row b; only a row that differs is scanned
-    for its least c.
+
+def _associativity_violation_of(t) -> tuple[int, int, int] | None:
+    """Least (a, b, c) with (a*b)*c != a*(b*c) in the table t of a magma on
+    0..m-1, or None.
+
+    For each a the m^2 products of the flattened table, byte i = b*m + c
+    holding b*c, go through row a in one `bytes.translate`, which gives
+    a*(b*c); the rows of the a*b, joined in b order, give (a*b)*c.  So each a
+    costs three C calls, and the first differing byte is the witness.
     """
-    t = L.table
-    row_of = [_getter(row) for row in t]
+    m = len(t)
+    rows = [bytes(row) for row in t]
+    flat = b"".join(rows)
+    pad = bytes(256 - m)
     for a, row in enumerate(t):
-        for b, ab in enumerate(row):
-            lhs, rhs = t[ab], row_of[b](row)
-            if lhs != rhs:
-                return (a, b, next(c for c in L.elements if lhs[c] != rhs[c]))
+        lhs = b"".join(_getter(row)(rows))
+        rhs = flat.translate(rows[a] + pad)
+        if lhs != rhs:
+            i = _first_difference(lhs, rhs)
+            return (a, i // m, i % m)
     return None
 
 
 @per_loop
 def flexibility_violation(L: LoopTable) -> tuple[int, int] | None:
-    t = L.table
-    for a in L.elements:
-        for b in L.elements:
-            if t[a][t[b][a]] != t[t[a][b]][a]:
-                return (a, b)
+    """Least (a, b) with a*(b*a) != (a*b)*a: row a read at column a against
+    column a read at row a."""
+    for a, (row, col) in enumerate(zip(L.table, L.columns)):
+        lhs, rhs = _getter(col)(row), _getter(row)(col)
+        if lhs != rhs:
+            return (a, _first_difference(lhs, rhs))
     return None
 
 
@@ -345,17 +366,19 @@ def aaip_violation(L: LoopTable) -> tuple | None:
     """Violation of (a*b)^-1 = b^-1 * a^-1.
 
     A 1-tuple (a,) flags the least element without a two-sided inverse; a
-    pair (a, b) is a genuine violation of the identity.
+    pair (a, b) is a genuine violation of the identity.  For each a, the
+    inverses read at row a are compared with column a^-1 read at the
+    inverses.
     """
     inv = L.inverse_table
-    for a in L.elements:
-        if inv[a] < 0:
-            return (a,)
-    t = L.table
-    for a in L.elements:
-        for b in L.elements:
-            if inv[t[a][b]] != t[inv[b]][inv[a]]:
-                return (a, b)
+    if -1 in inv:
+        return (inv.index(-1),)
+    inverses_of = _getter(inv)
+    cols = L.columns
+    for a, row in enumerate(L.table):
+        lhs, rhs = _getter(row)(inv), inverses_of(cols[inv[a]])
+        if lhs != rhs:
+            return (a, _first_difference(lhs, rhs))
     return None
 
 
@@ -376,25 +399,34 @@ def multiplication_closure(L: LoopTable, seeds) -> set[int]:
 
 @per_loop
 def power_associativity_violation(L: LoopTable) -> tuple[int] | None:
-    """Least element whose multiplication closure fails to be an abelian group."""
+    """Least element whose multiplication closure fails to be an abelian group.
+
+    A closure is a subloop; if it is associative it is a group generated by
+    one element, so cyclic, so abelian.  Only associativity is checked, and
+    an associative loop holds at once.
+    """
+    if is_associative(L):
+        return None
     t = L.table
     # An element inside a closure that passed generates a subset of it,
-    # which is commutative and associative too, so it needs no check.
+    # which is associative too, so it needs no check.
     passed: set[int] = set()
     for a in L.elements:
         if a in passed:
             continue
         h = sorted(multiplication_closure(L, (a,)))
-        if len(h) == L.order:
-            # a generates L: ask the memoized whole-loop predicates
-            if not (is_commutative(L) and is_associative(L)):
-                return (a,)
-        elif any(t[x][y] != t[y][x] for x in h for y in h) or any(
-            t[t[x][y]][z] != t[x][t[y][z]] for x in h for y in h for z in h
-        ):
+        # a closure that is all of L is not associative
+        if len(h) == L.order or _associativity_violation_of(_restricted(t, h)):
             return (a,)
         passed.update(h)
     return None
+
+
+def _restricted(t, h: list[int]) -> list[tuple[int, ...]]:
+    """The table t restricted to its product-closed subset h, with h[j]
+    renamed j."""
+    on_h, index = _getter(h), {x: j for j, x in enumerate(h)}
+    return [tuple(map(index.__getitem__, on_h(t[x]))) for x in h]
 
 
 def is_commutative(L: LoopTable) -> bool:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from loopcheck.catalog import builtin_loops, example21_star, example21_dot, generate_loops
-from loopcheck.table import cyclic_group, make_loop
+from loopcheck.table import cyclic_group, direct_product, make_loop
 
 
 @pytest.fixture(scope="session")
@@ -80,3 +80,53 @@ def oracle_loops():
         for seed in range(3)
     ]
     return loops
+
+
+def switched_elementary_abelian(k, switches, seed):
+    """Z_2^k with `switches` intercalates switched: each is a 2x2 subsquare at
+    rows a, a^d and columns b, b^d, with a, b, d drawn from Random(seed)."""
+    n = 1 << k
+    rng = random.Random(seed)
+    t = [[x ^ y for y in range(n)] for x in range(n)]
+    done = 0
+    while done < switches:
+        a, b, d = (rng.randrange(1, n) for _ in range(3))
+        if d in (a, b) or t[a][b] != t[a ^ d][b ^ d] or t[a][b ^ d] != t[a ^ d][b]:
+            continue
+        t[a][b], t[a][b ^ d] = t[a][b ^ d], t[a][b]
+        t[a ^ d][b], t[a ^ d][b ^ d] = t[a ^ d][b ^ d], t[a ^ d][b]
+        done += 1
+    return make_loop(t, name=f"z2^{k}/{switches}~{seed}")
+
+
+@pytest.fixture(scope="session")
+def witness_loops(oracle_loops):
+    """Inputs for the whole-table predicates and conditions: the oracle
+    loops, a seeded relabeling of each, and non-associative loops of order
+    12, 56 and 64, whose rows are long enough for a least witness to sit deep
+    inside a row or column compared in one C call."""
+    return (
+        oracle_loops
+        + [_relabeled(L, 100 + i) for i, L in enumerate(oracle_loops)]
+        + [switched_elementary_abelian(6, k, seed) for k, seed in ((1, 1), (8, 2), (40, 7))]
+        + [direct_product(example21_dot(), cyclic_group(8))]
+        # commutative, with a proper one-generated closure that is not associative
+        + [direct_product(next(e.loop for e in generate_loops(6) if e.name == "n6_002"),
+                          cyclic_group(2))]
+    )
+
+
+def assert_matches_oracle(kernel, reference, loops):
+    """`kernel` returns what `reference` returns on every loop, and the
+    loops reach both None and a witness whose elements are all nonzero.
+    Returns the witnesses."""
+    witnesses = []
+    for L in loops:
+        want = reference(L)
+        assert kernel(L) == want, L.name
+        witnesses.append(want)
+    assert None in witnesses
+    assert any(
+        w is not None and all(v > 0 for v in w if isinstance(v, int)) for w in witnesses
+    )
+    return witnesses

@@ -35,6 +35,8 @@ from loopcheck.table import (
     multiplication_closure,
 )
 
+from conftest import switched_elementary_abelian
+
 perms7 = st.permutations(range(7))
 
 
@@ -283,23 +285,6 @@ def test_order_is_exact_past_maxsize():
     L = random_loop(21, 1)
     assert mlt_group(L).order == math.factorial(21)
     assert inn_group(L).order == math.factorial(20)
-
-
-def switched_elementary_abelian(k, switches, seed):
-    """Z_2^k with `switches` intercalates switched: each is a 2x2 subsquare at
-    rows a, a^d and columns b, b^d, with a, b, d drawn from Random(seed)."""
-    n = 1 << k
-    rng = random.Random(seed)
-    t = [[x ^ y for y in range(n)] for x in range(n)]
-    done = 0
-    while done < switches:
-        a, b, d = (rng.randrange(1, n) for _ in range(3))
-        if d in (a, b) or t[a][b] != t[a ^ d][b ^ d] or t[a][b ^ d] != t[a ^ d][b]:
-            continue
-        t[a][b], t[a][b ^ d] = t[a][b ^ d], t[a][b]
-        t[a ^ d][b], t[a ^ d][b ^ d] = t[a ^ d][b ^ d], t[a ^ d][b]
-        done += 1
-    return make_loop(t)
 
 
 def test_mlt_of_order_64_is_exact():

@@ -12,7 +12,10 @@ from loopcheck.structure import (
     subloop_generated,
     theorem31_violation,
 )
+from loopcheck.perms import compose, invert
 from loopcheck.table import cyclic_group, is_commutative
+
+from conftest import assert_matches_oracle
 
 
 def test_subloop_of_identity(star):
@@ -135,6 +138,59 @@ def test_theorem31_fails_off_hypothesis(catalog5):
     names = [e.name for e in catalog5
              if not e.automorphic and theorem31_violation(e.loop) is not None]
     assert names == ["n5_001", "n5_002", "n5_003", "n5_004", "n5_005"]
+
+
+def _first_disagreement(L, lhs, rhs):
+    """Least (x, y, direction) with lhs(x, y) != rhs(x, y), 'forward' when
+    lhs holds."""
+    for x in L.elements:
+        for y in L.elements:
+            held, holds = lhs(x, y), rhs(x, y)
+            if held != holds:
+                return (x, y, "forward" if held else "backward")
+    return None
+
+
+def reference_co1_violation(L):
+    t = L.table
+    return _first_disagreement(
+        L, lambda x, y: t[x][t[x][y]] == t[t[y][x]][x], lambda x, y: t[x][y] == t[y][x]
+    )
+
+
+def reference_theorem31_violation(L):
+    t = L.table
+    return _first_disagreement(
+        L,
+        lambda x, y: t[x][t[x][y]] == t[t[y][x]][x],
+        lambda x, y: t[t[x][x]][y] == t[y][t[x][x]],
+    )
+
+
+def reference_co2_violation(L):
+    """T(x) = Rx Lx^-1 built from the translations, as perms compose them."""
+    t = L.table
+    T = [
+        compose(tuple(t[y][x] for y in L.elements), invert(t[x])) for x in L.elements
+    ]
+    return _first_disagreement(
+        L, lambda x, y: T[x][T[x][y]] == y, lambda x, y: T[x][y] == y
+    )
+
+
+@pytest.mark.parametrize(
+    "kernel, reference",
+    [
+        (co1_violation, reference_co1_violation),
+        (co2_violation, reference_co2_violation),
+        (theorem31_violation, reference_theorem31_violation),
+    ],
+    ids=["co1", "co2", "theorem31"],
+)
+def test_conditions_match_definitions(kernel, reference, witness_loops):
+    witnesses = assert_matches_oracle(kernel, reference, witness_loops)
+    directions = {w[2] for w in witnesses if w is not None}
+    assert directions == ({"forward"} if kernel is co2_violation else {"forward", "backward"})
 
 
 def test_cor21_on_groups(star, s3):

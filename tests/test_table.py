@@ -22,10 +22,13 @@ from loopcheck.table import (
     is_power_associative,
     is_uniquely_2_divisible,
     make_loop,
+    multiplication_closure,
     opposite,
     power_associativity_violation,
     squaring_map,
 )
+
+from conftest import assert_matches_oracle
 
 
 def test_make_loop_rejects_repeated_row():
@@ -188,11 +191,15 @@ def reference_power_associativity_violation(L):
     return None
 
 
-def test_power_associativity_matches_reference():
-    catalog = [e.loop for n in range(1, 7) for e in generate_loops(n)]
-    for L in catalog + [e.loop for e in builtin_loops()]:
-        expected = reference_power_associativity_violation(L)
-        assert power_associativity_violation(L) == expected, L
+def test_power_associativity_matches_reference(witness_loops):
+    witnesses = assert_matches_oracle(
+        power_associativity_violation, reference_power_associativity_violation, witness_loops
+    )
+    # the closure-restricted check, not only the whole-loop one, finds a witness
+    assert any(
+        w is not None and len(multiplication_closure(L, w)) < L.order
+        for L, w in zip(witness_loops, witnesses)
+    )
 
 
 def reference_associativity_violation(L):
@@ -204,14 +211,58 @@ def reference_associativity_violation(L):
     )
 
 
-def test_associativity_violation_matches_definition(oracle_loops):
-    witnesses = []
-    for L in oracle_loops:
-        want = reference_associativity_violation(L)
-        assert associativity_violation(L) == want, L.name
-        witnesses.append(want)
-    assert None in witnesses
-    assert any(w is not None and w[2] > 0 for w in witnesses)
+def test_associativity_violation_matches_definition(witness_loops):
+    assert_matches_oracle(
+        associativity_violation, reference_associativity_violation, witness_loops
+    )
+
+
+def reference_commutativity_violation(L):
+    t = L.table
+    return next(
+        ((a, b) for a in L.elements for b in L.elements if t[a][b] != t[b][a]), None
+    )
+
+
+def test_commutativity_violation_matches_definition(witness_loops):
+    assert_matches_oracle(
+        commutativity_violation, reference_commutativity_violation, witness_loops
+    )
+
+
+def reference_flexibility_violation(L):
+    t = L.table
+    return next(
+        ((a, b) for a in L.elements for b in L.elements if t[a][t[b][a]] != t[t[a][b]][a]),
+        None,
+    )
+
+
+def test_flexibility_violation_matches_definition(witness_loops):
+    assert_matches_oracle(flexibility_violation, reference_flexibility_violation, witness_loops)
+
+
+def reference_aaip_violation(L):
+    """(a,) for the least a without a two-sided inverse, else the least pair
+    (a, b) with (a*b)^-1 != b^-1 * a^-1, with inverses found by search."""
+    t, e = L.table, L.identity
+    inv = {}
+    for a in L.elements:
+        right = next(x for x in L.elements if t[a][x] == e)
+        if t[right][a] != e:
+            return (a,)
+        inv[a] = right
+    return next(
+        ((a, b) for a in L.elements for b in L.elements
+         if inv[t[a][b]] != t[inv[b]][inv[a]]),
+        None,
+    )
+
+
+def test_aaip_violation_matches_definition(witness_loops):
+    witnesses = assert_matches_oracle(aaip_violation, reference_aaip_violation, witness_loops)
+    assert any(w is not None and len(w) == 1 and w[0] > 0 for w in witnesses)
+    assert any(w is not None and len(w) == 2 and min(w) > 0 for w in witnesses)
 
 
 def test_aaip_on_group(s3):
@@ -273,9 +324,11 @@ def test_no_global_cache_keeps_loops_alive():
 
     from loopcheck.identities import builtin_library, evaluate
     from loopcheck.perms import is_automorphic
+    from loopcheck.structure import co1_violation, co2_violation, theorem31_violation
 
     L = make_loop([[(i + j) % 5 for j in range(5)] for i in range(5)])
     L.ldiv(1, 2), L.rdiv(1, 2), L.inverse(3), L.element_order(2), L.sqrt(4)
+    assert L.right_translation(2) is L.columns[2]
     for predicate in (
         commutativity_violation,
         associativity_violation,
@@ -284,6 +337,9 @@ def test_no_global_cache_keeps_loops_alive():
         power_associativity_violation,
         is_uniquely_2_divisible,
         is_automorphic,
+        co1_violation,
+        co2_violation,
+        theorem31_violation,
     ):
         predicate(L)
     assert all(evaluate(L, stmt, automorphic=True) is None for stmt in builtin_library())
@@ -298,5 +354,7 @@ def test_derived_tables_leave_equality_and_hash_alone():
     M = make_loop(L.table)
     before = hash(M)
     M.ldiv_table, M.inverse_table, M.power_table(-2), is_commutative(M)
+    assert "columns" in M.__dict__ and "columns" not in L.__dict__
     assert M == L and hash(M) == before == hash(L)
+    assert M.columns == tuple(tuple(row[b] for row in L.table) for b in L.elements)
     assert L.power_table(-2) == tuple(L.power(a, -2) for a in L.elements)
