@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator
 
+from ._record import record
 from .table import (
     MAX_ORDER,
     LoopTable,
@@ -48,7 +48,7 @@ class LoopFileError(LoopError):
         super().__init__(f"line {line}: {message}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CatalogEntry:
     name: str
     loop: LoopTable

@@ -8,7 +8,6 @@ I/O errors.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import warnings
@@ -236,6 +235,11 @@ def _cmd_papercheck(args) -> tuple[AnalysisReport, int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Imported here: `analyze_loop` and the other entry points that library
+    # code calls never parse a command line, so importing this module
+    # should not pay for argparse.
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="loopcheck",
         description="Finite loop engine: analysis, identity checking, and "

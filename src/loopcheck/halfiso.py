@@ -8,9 +8,9 @@ strictly isomorphism-like with y and strictly anti-isomorphism-like with z.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
+from ._record import record
 from .table import LoopTable, LoopError, is_flexible, is_power_associative
 from .perms import Perm, bijection_search, compose, invert, is_automorphic
 from .structure import co1_violation, satisfies_co1
@@ -27,7 +27,7 @@ class NotFlexible(LoopError):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HalfIso:
     source: LoopTable
     target: LoopTable
@@ -40,7 +40,7 @@ class HalfIso:
         )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Classification:
     is_isomorphism: bool
     is_anti_isomorphism: bool

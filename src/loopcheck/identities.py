@@ -25,11 +25,11 @@ first appearance) and reports the first counterexample, if any.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from itertools import chain, product, repeat
 from typing import Iterator, Mapping, Union
 
+from ._record import field, record, replace
 from .table import LoopTable, LoopError, NoTwoSidedInverse, NotAutomorphicWarning
 
 MAX_EXPONENT = 16
@@ -73,41 +73,41 @@ class VariableCapExceeded(LoopError):
 # ---------------------------------------------------------------------------
 # AST
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class One:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Mul:
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LDiv:
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RDiv:
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Pow:
     arg: "Term"
     exponent: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MacroCall:
     name: str
     args: tuple["Term", ...]
@@ -116,20 +116,20 @@ class MacroCall:
 Term = Union[Var, One, Mul, LDiv, RDiv, Pow, MacroCall]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Equation:
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MacroDef:
     name: str
     params: tuple[str, ...]
     body: Term  # macro-free
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IdentityStatement:
     variables: tuple[str, ...]
     hypotheses: tuple[Equation, ...]
@@ -153,7 +153,7 @@ class IdentityStatement:
         return _Plan(self)
 
 
-@dataclass
+@record
 class Counterexample:
     assignment: dict[str, int]
 

@@ -8,12 +8,12 @@ and the ``papercheck`` CLI subcommand both call into this module.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 from random import Random
 
 from . import catalog as cat
+from ._record import field, record
 from .catalog import CatalogEntry, canonical_form, canonical_key, are_isomorphic
 from .halfiso import (
     HalfIso,
@@ -43,7 +43,7 @@ ODD_AUDIT_ORDER_CAP = 7
 ORACLE_ORDER_CAP = 5
 
 
-@dataclass
+@record
 class SuiteContext:
     max_order: int = 6
     seed: int = 0
@@ -64,7 +64,7 @@ class SuiteContext:
         return [e for n in sorted(self.generated) for e in self.generated[n]]
 
 
-@dataclass
+@record
 class CriterionResult:
     number: int
     title: str

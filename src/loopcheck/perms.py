@@ -7,9 +7,9 @@ translations read in the same order as they are written.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from ._record import record
 from .table import (
     LoopTable,
     _first_difference,
@@ -74,7 +74,7 @@ def inner_generators(L: LoopTable) -> Iterator[tuple[str, Perm]]:
         yield f"T({x + 1})", rget[x](lefts_inv[x])
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StabilizerChain:
     """A permutation group as a stabilizer chain along `base`.
 

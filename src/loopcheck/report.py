@@ -8,7 +8,8 @@ match the file format and the CLI.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+
+from ._record import field, record
 
 
 def one_based(value):
@@ -24,7 +25,7 @@ def one_based(value):
     return value
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Record:
     kind: str
     level: str = "info"  # info | notice | finding
@@ -57,7 +58,7 @@ class Record:
         return "  ".join(parts)
 
 
-@dataclass
+@record
 class AnalysisReport:
     records: list[Record] = field(default_factory=list)
 

@@ -9,9 +9,9 @@ commute; they are checked independently.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from operator import eq
 
+from ._record import record
 from .table import (
     LoopError,
     LoopTable,
@@ -22,7 +22,7 @@ from .table import (
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SubloopClosure:
     members: frozenset[int]
     generated_from: frozenset[int]

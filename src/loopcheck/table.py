@@ -5,9 +5,10 @@ Element ids are 0-based indices into the table; external text formats use
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, wraps
 from operator import eq, itemgetter
+
+from ._record import field, record
 
 MAX_ORDER = 64
 
@@ -54,7 +55,7 @@ class NotAutomorphicWarning(UserWarning):
     hypothesis being verified."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LoopTable:
     """A finite loop: an n-by-n Cayley table with a two-sided identity.
 
