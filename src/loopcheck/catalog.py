@@ -72,17 +72,12 @@ def make_entry(name: str, L: LoopTable) -> CatalogEntry:
 
 
 def entry_passes(entry: CatalogEntry, filters) -> bool:
-    flags = {
-        "automorphic": entry.automorphic,
-        "commutative": entry.commutative,
-        "power-associative": entry.power_associative,
-        "odd-order": entry.odd_order,
-        "co1": entry.co1,
-    }
+    """Whether the entry's flag is set for every filter; a filter's flag is
+    the field named as the filter with ``-`` spelled ``_``."""
     for f in filters:
-        if f not in flags:
+        if f not in KNOWN_FILTERS:
             raise LoopError(f"unknown filter {f!r}; known: {', '.join(KNOWN_FILTERS)}")
-        if not flags[f]:
+        if not getattr(entry, f.replace("-", "_")):
             return False
     return True
 
@@ -291,12 +286,7 @@ def _canonical_rows(
 
 def canonical_key(L: LoopTable) -> tuple[int, ...]:
     """Flattened canonical table; equal keys mean isomorphic loops."""
-    if L.order > CANONICAL_ORDER_CAP:
-        raise OrderTooLarge(
-            f"canonical forms are capped at order {CANONICAL_ORDER_CAP}"
-        )
-    rows = _canonical_rows(L.table, L.identity)
-    return tuple(v for row in rows for v in row)
+    return tuple(v for row in canonical_form(L).table for v in row)
 
 
 def canonical_form(L: LoopTable) -> LoopTable:
@@ -433,11 +423,7 @@ def _class_names(n: int, count: int) -> list[str]:
     return [f"n{n}_{index:0{width}d}" for index in range(1, count + 1)]
 
 
-# The classes of each order generated so far; `_generate` refuses orders
-# outside 1..GENERATION_HARD_CAP, so this holds at most seven entries.
-_GENERATED: dict[int, tuple[LoopTable, ...]] = {}
-
-
+@lru_cache(maxsize=None)  # refusals raise, so at most GENERATION_HARD_CAP entries
 def _generate(n: int) -> tuple[LoopTable, ...]:
     if n > GENERATION_HARD_CAP:
         raise OrderTooLarge(
@@ -473,8 +459,5 @@ def generate_loops(n: int, filters: tuple[str, ...] = ()) -> list[CatalogEntry]:
     Every emitted entry re-passes its filter predicates by construction of
     the flags.
     """
-    base = _GENERATED.get(n)
-    if base is None:
-        base = _GENERATED[n] = _generate(n)
-    entries = [make_entry(L.name, L) for L in base]
+    entries = [make_entry(L.name, L) for L in _generate(n)]
     return [entry for entry in entries if entry_passes(entry, tuple(filters))]

@@ -191,17 +191,10 @@ def _cmd_identity(args) -> tuple[AnalysisReport, int]:
 def _cmd_generate(args) -> tuple[AnalysisReport, int]:
     report = AnalysisReport()
     entries = cat.generate_loops(args.order, tuple(args.filter))
+    flags = [f.replace("-", "_") for f in cat.KNOWN_FILTERS]
     for entry in entries:
-        report.add(
-            "loop-generated",
-            loops=(entry.name,),
-            order=entry.loop.order,
-            automorphic=entry.automorphic,
-            commutative=entry.commutative,
-            power_associative=entry.power_associative,
-            odd_order=entry.odd_order,
-            co1=entry.co1,
-        )
+        report.add("loop-generated", loops=(entry.name,), order=entry.loop.order,
+                   **{f: getattr(entry, f) for f in flags})
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         for entry in entries:
@@ -248,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "json-lines"),
                         default="text", help="report rendering")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the sampling paths")
+                        help="seed of papercheck's sampled relabelings (criterion 9)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="full analysis report for one loop")

@@ -30,7 +30,13 @@ from itertools import chain, product, repeat
 from typing import Iterator, Mapping, Union
 
 from ._record import field, record, replace
-from .table import LoopTable, LoopError, NoTwoSidedInverse, NotAutomorphicWarning
+from .table import (
+    LoopTable,
+    LoopError,
+    NoTwoSidedInverse,
+    NotAutomorphicWarning,
+    per_loop,
+)
 
 MAX_EXPONENT = 16
 # Deepest parenthesis nesting and term height (after macro expansion) that
@@ -619,6 +625,7 @@ _EQUAL = bytes((1,)) + bytes(255)  # marks a zero byte of lhs ^ rhs
 _DIFFERS = bytes((0,)) + bytes((1,)) * 255  # marks a nonzero byte
 
 
+@per_loop
 def _translations(L: LoopTable, attr: str, axis: str | int):
     """`bytes.translate` tables for one of `L`'s lookup tables.
 
@@ -626,23 +633,15 @@ def _translations(L: LoopTable, attr: str, axis: str | int):
     or ``"cols"``: the tuple holds one translation per row, or per column,
     so ``rows[a][b] == cols[b][a]`` is the table's entry.  For
     ``power_table``, `axis` is the exponent and the result is one
-    translation, with `_MISSING` where there is no inverse.  Like
-    `per_loop`, each is built on first use and kept in the loop's
-    ``__dict__``.
+    translation, with `_MISSING` where there is no inverse.
     """
-    key = f"{__name__}.{attr}.{axis}"
-    memo = L.__dict__
-    if key not in memo:
-        pad = bytes(256 - L.order)
-        if attr == "power_table":
-            powers = L.power_table(axis)
-            memo[key] = bytes(_MISSING if v < 0 else v for v in powers) + pad
-        else:
-            rows = getattr(L, attr)
-            if axis == "cols":
-                rows = L.columns if attr == "table" else zip(*rows)
-            memo[key] = tuple(bytes(r) + pad for r in rows)
-    return memo[key]
+    pad = bytes(256 - L.order)
+    if attr == "power_table":
+        return bytes(_MISSING if v < 0 else v for v in L.power_table(axis)) + pad
+    rows = getattr(L, attr)
+    if axis == "cols":
+        rows = L.columns if attr == "table" else zip(*rows)
+    return tuple(bytes(r) + pad for r in rows)
 
 
 # The kernels of a plan's steps.  Each takes the step's translation tables,

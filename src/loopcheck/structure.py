@@ -15,8 +15,10 @@ from ._record import record
 from .table import (
     LoopError,
     LoopTable,
+    _associativity_violation_of,
     _first_difference,
     _getter,
+    _restricted,
     multiplication_closure,
     squaring_map,
 )
@@ -154,30 +156,30 @@ def cor21_violations(
         )
         if not (comm or assoc):
             return
+        # h is sorted, so the least witness among the indices of the
+        # restricted table maps through h to the least among the elements
         h = sorted(subloop_generated(L, subset).members)
+        rows = _restricted(t, h)
         if comm:
-            for a in h:
-                for b in h:
-                    if t[a][b] != t[b][a]:
-                        out.append(("commutative", subset, (a, b)))
-                        return
+            for a, (row, col) in enumerate(zip(rows, zip(*rows))):
+                if row != col:
+                    b = _first_difference(row, col)
+                    out.append(("commutative", subset, (h[a], h[b])))
+                    return
         if assoc:
-            for a in h:
-                for b in h:
-                    ab = t[a][b]
-                    for c in h:
-                        if t[ab][c] != t[a][t[b][c]]:
-                            out.append(("associative", subset, (a, b, c)))
-                            return
+            witness = _associativity_violation_of(rows)
+            if witness is not None:
+                out.append(("associative", subset, tuple(h[i] for i in witness)))
 
     for a in range(n):
         for b in range(a, n):
             if t[a][b] == t[b][a]:
                 check((a, b))
-    rng = random.Random(seed)
-    for _ in range(trials):
-        k = rng.randint(2, n)
-        check(tuple(sorted(rng.sample(range(n), k))))
+    if n >= 2:
+        rng = random.Random(seed)
+        for _ in range(trials):
+            k = rng.randint(2, n)
+            check(tuple(sorted(rng.sample(range(n), k))))
     return out
 
 

@@ -229,18 +229,21 @@ class LoopTable:
 
 
 def per_loop(fn):
-    """Memoize the one-argument function `fn(L)` on the loop instance itself.
+    """Memoize `fn(L, *args)` on the loop instance itself.
 
     Like `cached_property`, the value lives in the instance ``__dict__``: no
-    global cache keeps loops alive and no lookup re-hashes the table.
+    global cache keeps loops alive and no lookup re-hashes the table.  The
+    key is the function's qualified name, joined into a tuple with `args`
+    when there are any, so each argument tuple has its own value.
     """
-    key = f"{fn.__module__}.{fn.__qualname__}"
+    name = f"{fn.__module__}.{fn.__qualname__}"
 
     @wraps(fn)
-    def memoized(L: LoopTable):
+    def memoized(L: LoopTable, *args):
+        key = (name, *args) if args else name
         memo = L.__dict__
         if key not in memo:
-            memo[key] = fn(L)
+            memo[key] = fn(L, *args)
         return memo[key]
 
     return memoized

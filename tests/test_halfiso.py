@@ -23,7 +23,7 @@ from loopcheck.halfiso import (
     scan_conjecture51,
     speciality_criteria,
 )
-from loopcheck.catalog import generate_loops
+from loopcheck.catalog import builtin_loops, generate_loops
 from loopcheck.perms import invert, isomorphisms
 from loopcheck.table import NoTwoSidedInverse, cyclic_group, opposite
 
@@ -284,6 +284,17 @@ def test_audit_reports_unmet_hypotheses(c7, dot, s3):
 def test_audit_odd_order_automorphic(c5):
     report = audit_theorem41(c5, c5, enumerate_half_isos(c5, c5))
     assert not report.has_findings
+
+
+def test_automorphic_loops_are_power_associative(catalog6):
+    # the audit runs its power and conjugation checks unguarded: both need
+    # power-associative loops, where every element has a two-sided inverse
+    entries = [e for n in range(1, 6) for e in generate_loops(n)] + catalog6
+    automorphic = [e for e in entries + list(builtin_loops()) if e.automorphic]
+    assert len(automorphic) == 26
+    for e in automorphic:
+        assert e.power_associative
+        assert all(e.loop.has_two_sided_inverse(a) for a in e.loop.elements)
 
 
 def test_scan_groups_only(c5, c7):

@@ -199,6 +199,11 @@ def test_cor21_on_groups(star, s3):
     assert cor21_violations(s3, trials=50) == []
 
 
+def test_cor21_on_trivial_loop():
+    # one element leaves no subset of two or more to sample
+    assert cor21_violations(cyclic_group(1)) == []
+
+
 def test_cor21_singletons_power_associative(star):
     # every one-element subset of an automorphic loop generates an abelian
     # group, so the sampled checks cannot fail on the cyclic table

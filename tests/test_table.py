@@ -24,6 +24,7 @@ from loopcheck.table import (
     make_loop,
     multiplication_closure,
     opposite,
+    per_loop,
     power_associativity_violation,
     squaring_map,
 )
@@ -347,6 +348,22 @@ def test_no_global_cache_keeps_loops_alive():
     del L
     gc.collect()
     assert ref() is None
+
+
+def test_per_loop_memoizes_each_argument_tuple():
+    calls = []
+
+    @per_loop
+    def shifted(L, k=0):
+        calls.append(k)
+        return tuple((a + k) % L.order for a in L.elements)
+
+    L = cyclic_group(4)
+    first, second = shifted(L), shifted(L, 1)
+    assert shifted(L) is first and shifted(L, 1) is second
+    assert calls == [0, 1]
+    name = f"{shifted.__module__}.{shifted.__qualname__}"
+    assert L.__dict__[name] is first and L.__dict__[(name, 1)] is second
 
 
 def test_derived_tables_leave_equality_and_hash_alone():
