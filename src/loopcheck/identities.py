@@ -35,7 +35,8 @@ from .table import (
     LoopError,
     NoTwoSidedInverse,
     NotAutomorphicWarning,
-    per_loop,
+    _MISSING,
+    _translations,
 )
 
 MAX_EXPONENT = 16
@@ -618,30 +619,8 @@ class _Poison(Exception):
     """A block asked for the inverse of an element that has none."""
 
 
-# Blocks are byte strings: `MAX_ORDER` is 64, so every element fits in a
-# byte and 255 is free to mark a missing inverse in a power table.
-_MISSING = 255
 _EQUAL = bytes((1,)) + bytes(255)  # marks a zero byte of lhs ^ rhs
 _DIFFERS = bytes((0,)) + bytes((1,)) * 255  # marks a nonzero byte
-
-
-@per_loop
-def _translations(L: LoopTable, attr: str, axis: str | int):
-    """`bytes.translate` tables for one of `L`'s lookup tables.
-
-    For ``table``, ``ldiv_table`` and ``rdiv_table``, `axis` is ``"rows"``
-    or ``"cols"``: the tuple holds one translation per row, or per column,
-    so ``rows[a][b] == cols[b][a]`` is the table's entry.  For
-    ``power_table``, `axis` is the exponent and the result is one
-    translation, with `_MISSING` where there is no inverse.
-    """
-    pad = bytes(256 - L.order)
-    if attr == "power_table":
-        return bytes(_MISSING if v < 0 else v for v in L.power_table(axis)) + pad
-    rows = getattr(L, attr)
-    if axis == "cols":
-        rows = L.columns if attr == "table" else zip(*rows)
-    return tuple(bytes(r) + pad for r in rows)
 
 
 # The kernels of a plan's steps.  Each takes the step's translation tables,

@@ -11,9 +11,12 @@ from typing import Iterable, Iterator
 
 from ._record import record
 from .table import (
+    MAX_ORDER,
     LoopTable,
+    _MISSING,
     _first_difference,
     _getter,
+    _translations,
     is_associative,
     is_power_associative,
     multiplication_closure,
@@ -291,46 +294,70 @@ def is_automorphic(L: LoopTable) -> bool:
     return automorphic_violation(L) is None
 
 
+# The bit of each element in a domain mask, and the element of each bit.
+_BITS = [1 << w for w in range(MAX_ORDER)]
+_ELEMENT_OF_BIT = {b: w for w, b in enumerate(_BITS)}
+
+
+@per_loop
+def _order_classes(L: LoopTable) -> dict[int, int]:
+    """Element order -> the mask of the elements of that order."""
+    out: dict[int, int] = {}
+    for v, k in enumerate(L.order_table):
+        out[k] = out.get(k, 0) | _BITS[v]
+    return out
+
+
 def bijection_search(
     L1: LoopTable,
     L2: LoopTable,
-    allowed: list[list[int]],
+    half: bool,
     fixed: Iterable[tuple[int, int]] = (),
 ) -> Iterator[Perm]:
     """Yield, in lexicographic order, every bijection f: L1 -> L2 with
-    f(a*b) in ``allowed[f(a)][f(b)]`` for all a, b.
+    f(a*b) = f(a)f(b) for all a, b, or, when `half`, with f(a*b) in
+    {f(a)f(b), f(b)f(a)}.
 
-    ``allowed[u][v]`` is a bit mask over L2 within {u*v, v*u}, so every such
-    f is a half-isomorphism and the rules sound for those prune the search:
-    f(e) = e, and for power-associative pairs f keeps element orders.  Once
-    both factors of a product are assigned, its domain narrows to the
-    allowed mask, and a domain left with one image is assigned at once.
-    Along the powers of x this assigns f(x^-1) = f(x)^-1 in power-associative
-    pairs.  `fixed` holds (a, v) pins, assigned after the identity.  The
-    search branches on the least unassigned element, images in increasing
-    order, so all results below a node share the prefix before it: the
-    order stays lexicographic although propagation assigns out of index
-    order.  Loops of unequal order yield nothing.
+    Every such f is a half-isomorphism, so the rules sound for those prune
+    the search: f(e) = e, and for power-associative pairs f keeps element
+    orders.  Once both factors of a product are assigned, its domain (a bit
+    mask over L2) narrows to the allowed images, and a domain left with one
+    image is assigned at once.  Along the powers of x this assigns
+    f(x^-1) = f(x)^-1 in power-associative pairs.  `fixed` holds (a, v)
+    pins, assigned after the identity.  The search branches on the least
+    unassigned element, images in increasing order, so all results below a
+    node share the prefix before it: the order stays lexicographic although
+    propagation assigns out of index order.  Loops of unequal order yield
+    nothing.
+
+    An element x that propagation assigns is first checked a row at a time:
+    with f as a byte string (`_MISSING` where unassigned), four
+    `bytes.translate` calls through the loops' `_translations` give f(x*y),
+    f(y*x), f(x)f(y) and f(y)f(x) for every y.  When both sides of x match
+    allowed rows, every product of x with an assigned y is assigned and
+    allowed, and x is done.  Otherwise, and for the element just branched on
+    or pinned, whose products are mostly new, the assigned y are visited one
+    by one in index order.
     """
     if L1.order != L2.order:
         return
     n = L1.order
-    t1 = L1.table
-    bits = [1 << w for w in range(n)]
+    t1, t2, u1, u2 = L1.table, L2.table, L1.columns, L2.columns
+    rows1, cols1 = _translations(L1, "table", "rows"), _translations(L1, "table", "cols")
+    rows2, cols2 = _translations(L2, "table", "rows"), _translations(L2, "table", "cols")
+    pad = bytes(256 - n)  # makes bytes(f) a translation table; never read
+    bits, element_of_bit = _BITS, _ELEMENT_OF_BIT
     if is_power_associative(L1) and is_power_associative(L2):
-        by_order: dict[int, int] = {}
-        for v, k in enumerate(L2.order_table):
-            by_order[k] = by_order.get(k, 0) | bits[v]
+        by_order = _order_classes(L2)
         domains = [by_order.get(k, 0) for k in L1.order_table]
     else:
         domains = [(1 << n) - 1] * n
-    image_of = {b: w for w, b in enumerate(bits)}
 
     def assign(f: list[int], dom: list[int], taken: list[bool], a: int, v: int) -> bool:
         # In place, assign f[a] = v, narrow the domain of every product that
         # completes, and assign each domain left with one image.  False when
         # some constraint fails.
-        if f[a] >= 0:
+        if f[a] != _MISSING:
             return f[a] == v
         if taken[v] or not dom[a] & bits[v]:
             return False
@@ -340,21 +367,31 @@ def bijection_search(
         while queue:
             x = queue.pop()
             fx = f[x]
-            tx, row = t1[x], allowed[fx]
-            for y, fy in enumerate(f):
-                if fy < 0:
+            if x != a:
+                images = bytes(f)
+                table = images + pad
+                right, left = rows1[x][:n].translate(table), cols1[x][:n].translate(table)
+                fxfy, fyfx = images.translate(rows2[fx]), images.translate(cols2[fx])
+                if (right == fxfy or half and right == fyfx) and (
+                    left == fyfx or half and left == fxfy
+                ):
                     continue
-                for c, mask in ((tx[y], row[fy]), (t1[y][x], allowed[fy][fx])):
+            tx, ux, row, col = t1[x], u1[x], t2[fx], u2[fx]
+            for y, fy in enumerate(f):
+                if fy == _MISSING:
+                    continue
+                p, q = row[fy], col[fy]  # f(x)f(y), f(y)f(x)
+                for c, v, u in ((tx[y], p, q), (ux[y], q, p)):
                     fc = f[c]
-                    if fc >= 0:
-                        if not mask & bits[fc]:
-                            return False
+                    if fc == v or half and fc == u:
                         continue
-                    d = dom[c] & mask
+                    if fc != _MISSING:
+                        return False
+                    d = dom[c] & (bits[v] | bits[u] if half else bits[v])
                     if not d:
                         return False
                     dom[c] = d
-                    w = image_of.get(d)
+                    w = element_of_bit.get(d)
                     if w is not None:
                         if taken[w]:
                             return False
@@ -364,19 +401,19 @@ def bijection_search(
         return True
 
     def search(f: list[int], dom: list[int], taken: list[bool]) -> Iterator[Perm]:
-        if -1 not in f:
+        if _MISSING not in f:
             yield tuple(f)
             return
-        x = f.index(-1)
+        x = f.index(_MISSING)
         images = dom[x]
         while images:
             low = images & -images
             images ^= low
             g, d, t = f[:], dom[:], taken[:]
-            if assign(g, d, t, x, image_of[low]):
+            if assign(g, d, t, x, element_of_bit[low]):
                 yield from search(g, d, t)
 
-    f, taken = [-1] * n, [False] * n
+    f, taken = [_MISSING] * n, [False] * n
     pins = ((L1.identity, L2.identity), *fixed)
     if all(assign(f, domains, taken, a, v) for a, v in pins):
         yield from search(f, domains, taken)
@@ -392,14 +429,7 @@ def isomorphisms(
     to its v are yielded, still in lexicographic order.  Pairs that no
     isomorphism extends, and loops of unequal order, yield nothing.
     """
-    yield from bijection_search(L1, L2, _product_masks(L2), fixed)
-
-
-@per_loop
-def _product_masks(L: LoopTable) -> list[list[int]]:
-    """``[u][v]``: the bit of u*v."""
-    bits = [1 << w for w in L.elements]
-    return [[bits[w] for w in row] for row in L.table]
+    yield from bijection_search(L1, L2, False, fixed)
 
 
 def _generating_sequence(L: LoopTable) -> tuple[int, ...]:

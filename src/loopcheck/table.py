@@ -262,6 +262,35 @@ def _getter(p: tuple[int, ...]):
     return itemgetter(*p)
 
 
+# Byte tables: `MAX_ORDER` is 64, so every element fits in a byte and 255 is
+# free to mark a missing element (an inverse that does not exist, an image
+# not yet assigned).
+_MISSING = 255
+
+
+@per_loop
+def _translations(L: LoopTable, attr: str, axis: str | int):
+    """`bytes.translate` tables for one of `L`'s lookup tables.
+
+    For ``table``, ``ldiv_table`` and ``rdiv_table``, `axis` is ``"rows"``
+    or ``"cols"``: the tuple holds one translation per row, or per column,
+    so ``rows[a][b] == cols[b][a]`` is the table's entry.  For
+    ``power_table``, `axis` is the exponent and the result is one
+    translation, with `_MISSING` where there is no inverse.  Every byte from
+    n up translates to itself, so `_MISSING` stays `_MISSING`.  The columns
+    of a commutative loop's table are its rows, and share their bytes.
+    """
+    pad = bytes(range(L.order, 256))
+    if attr == "power_table":
+        return bytes(_MISSING if v < 0 else v for v in L.power_table(axis)) + pad
+    if (attr, axis) == ("table", "cols") and is_commutative(L):
+        return _translations(L, "table", "rows")
+    rows = getattr(L, attr)
+    if axis == "cols":
+        rows = L.columns if attr == "table" else zip(*rows)
+    return tuple(bytes(r) + pad for r in rows)
+
+
 def _first_difference(p, q) -> int:
     """The least index at which the equal-length sequences p and q differ;
     they must differ somewhere.  One C pass builds the comparison list."""
@@ -387,17 +416,22 @@ def aaip_violation(L: LoopTable) -> tuple | None:
 
 
 def multiplication_closure(L: LoopTable, seeds) -> set[int]:
-    """The least subset of L containing `seeds` and closed under products."""
-    t = L.table
+    """The least subset of L containing `seeds` and closed under products.
+
+    Each round reads the rows and columns of the elements found in the last
+    round through one getter over the closed set, so each frontier element
+    takes all its products with the closed set in two C calls.
+    """
+    rows, cols = L.table, L.columns
     closed = set(seeds)
-    frontier = list(closed)
+    frontier = closed
     while frontier:
-        x = frontier.pop()
-        for y in tuple(closed):
-            for z in (t[x][y], t[y][x]):
-                if z not in closed:
-                    closed.add(z)
-                    frontier.append(z)
+        on_closed = _getter(tuple(closed))
+        found: set[int] = set()
+        for x in frontier:
+            found.update(on_closed(rows[x]), on_closed(cols[x]))
+        frontier = found - closed
+        closed |= frontier
     return closed
 
 

@@ -25,7 +25,13 @@ from loopcheck.halfiso import (
 )
 from loopcheck.catalog import builtin_loops, generate_loops
 from loopcheck.perms import invert, isomorphisms
-from loopcheck.table import NoTwoSidedInverse, cyclic_group, opposite
+from loopcheck.table import (
+    NoTwoSidedInverse,
+    cyclic_group,
+    is_commutative,
+    is_power_associative,
+    opposite,
+)
 
 
 def all_half_isos(Q, R):
@@ -162,6 +168,25 @@ def test_naive_equals_pruned_small():
                 naive = [f.mapping for f in naive_half_isos(e1.loop, e2.loop)]
                 pruned = [f.mapping for f in all_half_isos(e1.loop, e2.loop)]
                 assert naive == pruned, (e1.name, e2.name)
+
+
+def test_engine_matches_oracle_where_rows_mix_both_orders(catalog6):
+    # Non-commutative loops that are not power-associative: no element
+    # orders prune the search, and a half-isomorphism can send the products
+    # of one row to both f(x)f(y) and f(y)f(x).
+    loops = [
+        e.loop for e in catalog6
+        if not is_commutative(e.loop) and not is_power_associative(e.loop)
+    ]
+    mixed = 0
+    for Q in loops:
+        for R in loops:
+            want = list(naive_half_isos(Q, R))
+            assert [f.mapping for f in all_half_isos(Q, R)] == [f.mapping for f in want], (
+                Q.name, R.name)
+            kinds = [classify(f) for f in want]
+            mixed += sum(1 for k in kinds if not (k.is_isomorphism or k.is_anti_isomorphism))
+    assert mixed
 
 
 def test_power_map_on_power_associative(c7, s3):

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -31,8 +32,11 @@ from loopcheck.halfiso import classify, enumerate_half_isos, naive_half_isos
 from loopcheck.table import (
     associativity_violation,
     cyclic_group,
+    direct_product,
+    is_commutative,
     make_loop,
     multiplication_closure,
+    opposite,
 )
 
 from conftest import switched_elementary_abelian
@@ -431,6 +435,19 @@ def test_isomorphisms_match_naive_half_isomorphisms(c7, star, dot):
             assert list(isomorphisms(L1, L2)) == want, (L1, L2)
 
 
+def test_isomorphisms_onto_the_opposite_loop(catalog6):
+    # An isomorphism L -> L^op is an anti-automorphism of L.  A row of a map
+    # that is not one can still match the products f(y)f(x) in the other
+    # order, which only half-isomorphisms allow.
+    found = 0
+    for L in [e.loop for e in catalog6 if not is_commutative(e.loop)]:
+        M = opposite(L)
+        want = [f.mapping for f in naive_half_isos(L, M) if classify(f).is_isomorphism]
+        assert list(isomorphisms(L, M)) == want, L.name
+        found += len(want)
+    assert found
+
+
 def test_isomorphism_entry_points_are_generators(c5, c7):
     assert list(isomorphisms(c5, c7)) == []
     assert inspect.isgeneratorfunction(isomorphisms)
@@ -456,6 +473,40 @@ def test_pinned_isomorphisms_match_filtered_enumeration(s3):
             for pins in pin_sets:
                 want = [f for f in full if all(f[a] == v for a, v in pins)]
                 assert list(isomorphisms(L1, L2, fixed=pins)) == want, (L1, L2, pins)
+
+
+@pytest.mark.parametrize("name, count", [("c2xc2xc2xc2", 20_160), ("c3xc3xc3", 11_232)])
+def test_isomorphisms_of_elementary_abelian_groups(name, count):
+    # Every automorphism of Z_p^k is linear: |GL(4, 2)| and |GL(3, 3)|.
+    L = builtin_loop(name)
+    M = relabeled(L, 3)
+    maps = list(isomorphisms(L, M))
+    assert len(maps) == count
+    assert all(p < q for p, q in zip(maps, maps[1:]))
+    elements = list(L.elements)
+    for f in maps:
+        # f is a bijection with f(a*b) = f(a)*f(b), row by row
+        at_f = itemgetter(*f)
+        assert sorted(f) == elements
+        assert all(itemgetter(*row)(f) == at_f(M.table[f[a]]) for a, row in enumerate(L.table))
+
+
+def test_pinned_isomorphisms_at_orders_56_and_64(dot):
+    # Orders 56 and 64, the largest the byte tables serve; neither loop is a
+    # group.
+    rng = random.Random(56)
+    for L in (direct_product(dot, cyclic_group(8)), switched_elementary_abelian(6, 8, 2)):
+        M = relabeled(L, 4)
+        full = list(isomorphisms(L, M))
+        n = L.order
+        assert full and full == sorted(set(full))
+        pin_sets = [[(rng.randrange(n), rng.randrange(n)) for _ in range(k)] for k in (1, 1, 2)]
+        for f in full:
+            pin_sets.append([(a, f[a]) for a in rng.sample(range(n), 3)])
+            pin_sets.append([(a, f[a]) for a in rng.sample(range(n), 2)] + [(0, f[1])])
+        for pins in pin_sets:
+            want = [f for f in full if all(f[a] == v for a, v in pins)]
+            assert list(isomorphisms(L, M, fixed=pins)) == want, (L.name, pins)
 
 
 def test_inconsistent_pins_yield_nothing(s3):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -27,6 +29,8 @@ from loopcheck.table import (
     per_loop,
     power_associativity_violation,
     squaring_map,
+    _MISSING,
+    _translations,
 )
 
 from conftest import assert_matches_oracle
@@ -190,6 +194,50 @@ def reference_power_associativity_violation(L):
                for x in closed for y in closed):
             return (a,)
     return None
+
+
+def reference_multiplication_closure(L, seeds):
+    """The least product-closed superset of `seeds`: add every product of
+    two members until nothing changes."""
+    closed = set(seeds)
+    while True:
+        grown = closed | {L.table[a][b] for a in closed for b in closed}
+        if grown == closed:
+            return closed
+        closed = grown
+
+
+def test_multiplication_closure_matches_fixpoint(witness_loops):
+    rng = random.Random(11)
+    proper = 0
+    for L in witness_loops:
+        n = L.order
+        seed_sets = [(), (L.identity,), *((rng.randrange(n),) for _ in range(3))]
+        seed_sets.append(tuple(rng.randrange(n) for _ in range(2)))
+        for seeds in seed_sets:
+            got = multiplication_closure(L, seeds)
+            assert got == reference_multiplication_closure(L, seeds), (L.name, seeds)
+            proper += len(seeds) > 0 and len(got) < n
+    assert proper  # some closures are proper subloops
+
+
+def test_translations_are_the_tables_padded_to_themselves(witness_loops):
+    # Bytes from n up translate to themselves, so a missing element stays
+    # missing through every product table, also at order 64.
+    for L in [M for M in witness_loops if M.order in (1, 7, 56, 64)]:
+        n = L.order
+        pad = bytes(range(n, 256))
+        for attr in ("table", "ldiv_table", "rdiv_table"):
+            rows, cols = _translations(L, attr, "rows"), _translations(L, attr, "cols")
+            entries = getattr(L, attr)
+            assert rows == tuple(bytes(row) + pad for row in entries)
+            assert all(cols[b][a] == entries[a][b] for a in L.elements for b in L.elements)
+            assert all(col[n:] == pad for col in cols)
+        for k in (-2, 3):
+            power = _translations(L, "power_table", k)
+            assert power[:n] == bytes(_MISSING if v < 0 else v for v in L.power_table(k))
+            assert power[n:] == pad
+        assert bytes((_MISSING,)).translate(_translations(L, "table", "rows")[-1]) == b"\xff"
 
 
 def test_power_associativity_matches_reference(witness_loops):
