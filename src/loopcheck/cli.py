@@ -283,12 +283,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report, code = args.fn(args)
+        rendered = report.render(args.format)
+        if rendered:
+            print(rendered)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head` does.  Point stdout at
+        # the null device, so that the flush at exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     except (LoopError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    rendered = report.render(args.format)
-    if rendered:
-        print(rendered)
     return code
 
 

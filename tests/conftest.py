@@ -1,9 +1,48 @@
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
 from loopcheck.catalog import builtin_loops, example21_star, example21_dot, generate_loops
 from loopcheck.table import cyclic_group, direct_product, make_loop
+
+
+# Per-test time limits, in seconds.  A search that loses its pruning slows
+# from milliseconds to minutes rather than failing, so a test that runs past
+# its limit fails instead of hanging the suite.  `slow` tests (the order-7
+# catalog) get the larger one.
+TIME_LIMIT_S = 60
+SLOW_TIME_LIMIT_S = 600
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_setup(item):
+    with _time_limit(item, "setup"):
+        yield
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    with _time_limit(item, "call"):
+        yield
+
+
+@contextmanager
+def _time_limit(item, phase):
+    """Fail the test from a SIGALRM handler once the item's limit passes."""
+    limit = SLOW_TIME_LIMIT_S if item.get_closest_marker("slow") else TIME_LIMIT_S
+
+    def expire(signum, frame):
+        pytest.fail(f"{item.nodeid} {phase} ran past its time limit of {limit} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(limit)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

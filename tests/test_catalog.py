@@ -1,14 +1,17 @@
+import hashlib
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from loopcheck import catalog
 from loopcheck.catalog import (
     LoopFileError,
     _canonical_rows,
     _class_names,
     _left_invariant,
     _orderly_tables,
+    _row1_orders,
     _standard_rows,
     are_isomorphic,
     builtin_loop,
@@ -140,10 +143,61 @@ def test_direct_product_coprime_iso():
 
 
 def test_reduced_table_counts():
-    # reduced Latin squares of orders 1..5
-    assert [sum(1 for _ in reduced_tables(n)) for n in range(1, 6)] == [
-        1, 1, 1, 4, 56,
+    # reduced Latin squares of orders 1..6 (OEIS A000315)
+    assert [sum(1 for _ in reduced_tables(n)) for n in range(1, 7)] == [
+        1, 1, 1, 4, 56, 9408,
     ]
+
+
+def _cellwise_completions(n, row1=None, row_ok=None):
+    """Loop tables of order n with identity 0 by cell-by-cell backtracking
+    Latin-square completion, each row checked by `row_ok` once complete:
+    the oracle for the whole-row `_completions`."""
+    full = (1 << n) - 1
+    rows = [list(range(n))] + [[i] + [-1] * (n - 1) for i in range(1, n)]
+    row_used = [full] + [(1 << i) for i in range(1, n)]
+    col_used = [(1 << j) for j in range(n)]
+    first = 1
+    if row1 is not None:
+        rows[1] = list(row1)
+        row_used[1] = full
+        for j, v in enumerate(row1):
+            col_used[j] |= 1 << v
+        first = 2
+    cells = [(i, j) for i in range(first, n) for j in range(1, n)]
+    last = n - 1
+
+    def fill(k):
+        if k == len(cells):
+            yield tuple(tuple(row) for row in rows)
+            return
+        i, j = cells[k]
+        free = full & ~(row_used[i] | col_used[j])
+        while free:
+            bit = free & -free
+            free ^= bit
+            v = bit.bit_length() - 1
+            rows[i][j] = v
+            if j == last and row_ok is not None and not row_ok(rows[i]):
+                continue
+            row_used[i] |= bit
+            col_used[j] |= bit
+            yield from fill(k + 1)
+            row_used[i] ^= bit
+            col_used[j] ^= bit
+        rows[i][j] = -1
+
+    yield from fill(0)
+
+
+def test_row_completion_matches_cellwise_oracle(monkeypatch):
+    # The same tables in the same order, for both callers of `_completions`.
+    reduced = [list(reduced_tables(n)) for n in range(1, 6)]
+    orderly = [list(_orderly_tables(n)) for n in range(1, 7)]
+    monkeypatch.setattr(catalog, "_completions", _cellwise_completions)
+    assert reduced == [list(reduced_tables(n)) for n in range(1, 6)]
+    assert orderly == [list(_orderly_tables(n)) for n in range(1, 7)]
+    assert [len(tables) for tables in orderly] == [1, 1, 1, 2, 7, 462]
 
 
 def test_generate_counts_small():
@@ -187,6 +241,50 @@ def _full_scan_rows(table, identity):
         if best is None or rows < best:
             best = rows
     return best
+
+
+def _cellwise_row1_orders(table, identity):
+    """The orders whose relabeled inner row 1 is least, with row 1 filled
+    cell by cell: a free column label branches over the unlabeled elements,
+    an unlabeled product takes the next free label, and after each cell only
+    the orders whose value there is least stay.  The oracle for the
+    cycle-wise `_row1_orders`."""
+    n = len(table)
+    orders = [[identity, x] for x in range(n) if x != identity] or [[identity]]
+    for b in range(1, n):
+        cells = []
+        for order in orders:
+            if len(order) == b:
+                branches = [[*order, y] for y in range(n) if y not in order]
+            else:
+                branches = [order]
+            for order in branches:
+                product = table[order[1]][order[b]]
+                if product in order:
+                    cells.append((order.index(product), order))
+                else:
+                    cells.append((len(order), order))
+                    order.append(product)
+        least = min(value for value, _ in cells)
+        orders = [order for value, order in cells if value == least]
+    return orders
+
+
+def test_row1_orders_match_cellwise_oracle(catalog6):
+    tables = [(t, 0) for n in range(1, 6) for t in reduced_tables(n)]
+    tables += [(t, 0) for t in _orderly_tables(6)]
+    loops = [e.loop for e in catalog6] + [builtin_loop("c2xc2xc2"), example21_dot()]
+    swap = (3, 1, 2, 0, 4, 5)  # an involution moving the identity to 3
+    for L in (catalog6[50].loop, catalog6[-1].loop):
+        loops.append(make_loop(
+            [[swap[L.table[swap[a]][swap[b]]] for b in range(6)] for a in range(6)]
+        ))
+        assert loops[-1].identity == 3
+    tables += [(L.table, L.identity) for L in loops]
+    for table, identity in tables:
+        got = sorted(map(tuple, _row1_orders(table, identity)))
+        assert got == sorted(map(tuple, _cellwise_row1_orders(table, identity)))
+        assert len(set(got)) == len(got)
 
 
 def test_canonical_rows_match_full_scan(catalog6):
@@ -235,8 +333,13 @@ def test_class_names_sort_as_indices():
     assert names == sorted(names)
 
 
+# sha256 of repr() of the list of the 23,746 class tables of order 7
+ORDER7_TABLES_SHA256 = "f157ec4159f675249cad3e7e2c4eb6aabb5279975f041bb6a8b54be7dc116302"
+
+
 @pytest.mark.slow
 def test_generate_order7():
+    assert sum(1 for _ in _orderly_tables(7)) == 151884
     with pytest.warns(UserWarning, match="151,884 tables"):
         catalog7 = generate_loops(7)
     assert len(catalog7) == 23746
@@ -246,6 +349,7 @@ def test_generate_order7():
     assert auto.loop.table == canonical_form(cyclic_group(7)).table
     tables = [e.loop.table for e in catalog7]
     assert tables == sorted(set(tables))
+    assert hashlib.sha256(repr(tables).encode()).hexdigest() == ORDER7_TABLES_SHA256
     for e in catalog7[::1000]:
         assert canonical_form(e.loop).table == e.loop.table
         assert _full_scan_rows(e.loop.table, 0) == e.loop.table

@@ -299,3 +299,34 @@ def test_identity_check_huge_expansion(tmp_path, capsys):
         assert time.perf_counter() - start < 1
         assert code == 2
         assert "term too large" in err
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("argv", [
+    ("papercheck", "--max-order", "3"),
+    ("--format", "json-lines", "generate", "--order", "4"),
+    ("identity", "builtins"),
+])
+def test_closed_stdout_exits_quietly(tmp_path, monkeypatch, capsys, argv):
+    with open(tmp_path / "stdout", "w") as stdout:
+        monkeypatch.setattr("sys.stdout", _ClosedPipe(stdout.fileno()))
+        code = main(list(argv))
+        monkeypatch.undo()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "Error" not in err
