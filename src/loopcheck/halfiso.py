@@ -8,10 +8,22 @@ strictly isomorphism-like with y and strictly anti-isomorphism-like with z.
 """
 from __future__ import annotations
 
+from functools import cached_property
+from itertools import compress, count, islice, product
+from operator import eq, gt, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ._record import record
-from .table import LoopTable, LoopError, is_flexible
+from .table import (
+    MAX_ORDER,
+    LoopError,
+    LoopTable,
+    _MISSING,
+    _first_difference,
+    _products,
+    _translations,
+    is_flexible,
+)
 from .perms import Perm, bijection_search, compose, invert, is_automorphic
 from .structure import co1_violation, satisfies_co1
 from .report import AnalysisReport, one_based
@@ -50,6 +62,113 @@ class Classification:
     special_witness: tuple[int, int] | None = None
 
 
+GG_CAP = 10
+
+# Sliced at n, the bytes from n up that a translation table maps to themselves.
+_IDENTITY = bytes(range(256))
+# 63 and 64 in each of MAX_ORDER**2 bytes: adding 63 to a byte below 64 sets
+# its 64 bit exactly when the byte is not 0, and carries into no other byte.
+_SIXTY_THREES = int.from_bytes(bytes([63]) * MAX_ORDER**2, "big")
+_SIXTY_FOURS = _SIXTY_THREES + int.from_bytes(bytes([1]) * MAX_ORDER**2, "big")
+
+
+def _packed(rows) -> int:
+    """The joined byte rows as one integer, a byte per pair, first pair highest."""
+    return int.from_bytes(b"".join(rows), "big")
+
+
+class _Pair:
+    """What every survey of maps Q -> R reads, built once per call.
+
+    ``q_rows[x]`` and ``q_cols[x]`` are Q's row and column x as n bytes;
+    ``r_rows`` and ``r_cols`` are R's as `bytes.translate` tables.  The
+    other tables are built on first use.
+    """
+
+    def __init__(self, Q: LoopTable, R: LoopTable):
+        n = Q.order
+        self.Q, self.R, self.n = Q, R, n
+        self.pad = _IDENTITY[n:]
+        rows, cols = _products(Q)
+        self.q_rows, self.q_cols = [r[:n] for r in rows], [c[:n] for c in cols]
+        self.r_rows, self.r_cols = _products(R)
+
+    @cached_property
+    def powers(self) -> tuple[bytes, list[bytes]]:
+        """Q's powers x^-n..x^n, one run of 2n+1 bytes per x, joined, and
+        R's runs; `_MISSING` marks a power without an inverse."""
+        n, ks = self.n, range(-self.n, self.n + 1)
+        q_runs, r_runs = (
+            [bytes(run) for run in zip(*[_translations(L, "power_table", k)[:n] for k in ks])]
+            for L in (self.Q, self.R)
+        )
+        return b"".join(q_runs), r_runs
+
+    @cached_property
+    def q_flexes(self) -> bytes:
+        """(x*y)*x over y, one row per x of Q, joined."""
+        return b"".join(map(bytes.translate, self.q_rows, _products(self.Q)[1]))
+
+    @cached_property
+    def conjugations(self):
+        """Q's conjugation maps as n bytes, R's as translations, and the
+        inverses of Q's and of R's elements; Q's missing inverses raise first."""
+        Q, R = self.Q, self.R
+        phi_q = [bytes(conjugation_map(Q, x)) for x in Q.elements]
+        phi_r = [bytes(conjugation_map(R, v)) + self.pad for v in R.elements]
+        return phi_q, phi_r, list(map(Q.inverse, Q.elements)), list(map(R.inverse, R.elements))
+
+
+class _Survey:
+    """The branch relation of one map f: Q -> R, four byte rows per x.
+
+    ``P[x]`` is f(x*-) and ``C[x]`` is f(-*x): Q's row and column x
+    translated through f.  ``I[x]`` is f(x)f(-) and ``A[x]`` is f(-)f(x): the
+    images translated through R's row and column f(x).  So (x, y) takes the
+    first branch where ``P[x][y] == I[x][y]`` and the second where
+    ``P[x][y] == A[x][y]``.  The checks compare whole rows, or all pairs at
+    once, in C and scan only where they differ, so each finds the least
+    witness, in the order the scalar definitions find it.
+    """
+
+    def __init__(self, pair: _Pair, mapping):
+        self.pair, self.mapping = pair, tuple(mapping)
+        self.images = images = bytes(self.mapping)
+        self.f = f = images + pair.pad  # x -> f(x) as a translation table
+        self.P = [row.translate(f) for row in pair.q_rows]
+        self.C = [col.translate(f) for col in pair.q_cols]
+        self.I = list(map(images.translate, map(pair.r_rows.__getitem__, images)))
+        self.A = list(map(images.translate, map(pair.r_cols.__getitem__, images)))
+        self.iso, self.anti = self.P == self.I, self.P == self.A
+
+    @cached_property
+    def special_witness(self) -> tuple[int, int] | None:
+        """Least (x, y) commuting in Q whose images do not commute, or None.
+
+        All pairs at once, each side `_packed`: the 64 bits of `hits` mark
+        where I differs from A and Q's table equals its transpose, and the
+        highest marks the least pair."""
+        if self.I == self.A:
+            return None
+        apart = _packed(self.I) ^ _packed(self.A)
+        q_apart = _packed(self.pair.q_rows) ^ _packed(self.pair.q_cols)
+        hits = (apart + _SIXTY_THREES) & ~(q_apart + _SIXTY_THREES) & _SIXTY_FOURS
+        if not hits:
+            return None
+        n = self.pair.n
+        return divmod(n * n - 1 - (hits.bit_length() - 1) // 8, n)
+
+
+def _survey(f: HalfIso | _Survey) -> _Survey:
+    """The survey of f; `audit_theorem41` passes one survey to every check."""
+    return f if isinstance(f, _Survey) else _Survey(_Pair(f.source, f.target), f.mapping)
+
+
+def _swaps(p, c, i, a) -> bool:
+    """(p, c) is (i, a) or (a, i); for whole rows or single entries."""
+    return (p == i and c == a) or (p == a and c == i)
+
+
 def half_iso_violation(Q: LoopTable, R: LoopTable, mapping) -> tuple[int, int] | None:
     """Least pair (a, b) with f(a*b) outside {f(a)f(b), f(b)f(a)}, or None."""
     m = tuple(mapping)
@@ -57,14 +176,12 @@ def half_iso_violation(Q: LoopTable, R: LoopTable, mapping) -> tuple[int, int] |
         raise ValueError("half-isomorphisms need equal orders")
     if sorted(m) != list(range(Q.order)):
         raise ValueError("mapping is not a bijection")
-    tq, tr = Q.table, R.table
-    for a in Q.elements:
-        ma = m[a]
-        for b in Q.elements:
-            mb = m[b]
-            v = m[tq[a][b]]
-            if v != tr[ma][mb] and v != tr[mb][ma]:
-                return (a, b)
+    s = _Survey(_Pair(Q, R), m)
+    for x, (p, i, a) in enumerate(zip(s.P, s.I, s.A)):
+        if p != i and p != a:
+            allowed = list(map(or_, map(eq, p, i), map(eq, p, a)))
+            if False in allowed:
+                return (x, allowed.index(False))
     return None
 
 
@@ -83,59 +200,39 @@ def identity_half_iso(Q: LoopTable, R: LoopTable) -> HalfIso:
     return make_half_iso(Q, R, range(Q.order))
 
 
-GG_CAP = 10
-
-
 def classify(f: HalfIso) -> Classification:
-    """Branch survey of a half-isomorphism.
+    """The branch survey of a half-isomorphism, summarized.
 
     A pair takes the first branch when f(a*b) = f(a)f(b) and the second when
     f(a*b) = f(b)f(a); both at once iff the images commute.  The map is an
-    isomorphism when every pair takes the first branch, an anti-isomorphism
-    when every pair takes the second, and both flags may hold together (the
-    two branches coincide on commuting images).  Speciality is decided by
-    the commuting-pairs criterion; `speciality_criteria` exposes the other
-    two equivalent formulations for cross-validation.  GG-triples are
-    collected in lexicographic order, at most `GG_CAP` of them.
+    isomorphism when every row of the survey takes the first branch
+    throughout, an anti-isomorphism when every row takes the second, and
+    both flags may hold together (the branches coincide on commuting
+    images).  Speciality is decided by the commuting-pairs criterion;
+    `speciality_criteria` exposes the other two equivalent formulations for
+    cross-validation.  GG-triples are collected in lexicographic order, at
+    most `GG_CAP` of them, and only for a non-trivial map: in a trivial one
+    each row keeps one branch, so no x has both a y and a z.
     """
-    Q, R, m = f.source, f.target, f.mapping
-    tq, tr = Q.table, R.table
-    n = Q.order
-    iso = anti = True
-    special_w = None
-    for a in range(n):
-        ma = m[a]
-        for b in range(n):
-            mb = m[b]
-            v = m[tq[a][b]]
-            iso = iso and v == tr[ma][mb]
-            anti = anti and v == tr[mb][ma]
-            if special_w is None and tq[a][b] == tq[b][a] and tr[ma][mb] != tr[mb][ma]:
-                special_w = (a, b)
+    s = _survey(f)
+    trivial = s.iso or s.anti
     gg: list[tuple[int, int, int]] = []
-    for x in range(n):
-        mx = m[x]
-        ys, zs = [], []
-        for y in range(n):
-            my = m[y]
-            fw, sw = tr[mx][my], tr[my][mx]
-            if fw == sw:
-                continue
-            v = m[tq[x][y]]
-            if v == fw:
-                ys.append(y)
-            elif v == sw:
-                zs.append(y)
-        gg.extend((x, y, z) for y in ys for z in zs)
-        if len(gg) >= GG_CAP:
-            break
+    if not trivial:
+        for x, (p, i, a) in enumerate(zip(s.P, s.I, s.A)):
+            if p == i or p == a:
+                continue  # one branch throughout: no y or no z
+            ys = compress(count(), map(gt, map(eq, p, i), map(eq, i, a)))
+            zs = list(compress(count(), map(gt, map(eq, p, a), map(eq, i, a))))
+            gg.extend(islice(product((x,), ys, zs), GG_CAP - len(gg)))
+            if len(gg) == GG_CAP:
+                break
     return Classification(
-        is_isomorphism=iso,
-        is_anti_isomorphism=anti,
-        is_special=special_w is None,
-        gg_triples=tuple(gg[:GG_CAP]),
-        trivial=iso or anti,
-        special_witness=special_w,
+        is_isomorphism=s.iso,
+        is_anti_isomorphism=s.anti,
+        is_special=s.special_witness is None,
+        gg_triples=tuple(gg),
+        trivial=trivial,
+        special_witness=s.special_witness,
     )
 
 
@@ -145,34 +242,23 @@ def speciality_criteria(f: HalfIso) -> tuple[bool, bool, bool]:
     (b) {f(x*y), f(y*x)} = {f(x)f(y), f(y)f(x)} for all pairs,
     (c) commuting pairs have commuting images.
     """
-    Q, R, m = f.source, f.target, f.mapping
-    inv = invert(m)
-    a_ok = half_iso_violation(R, Q, inv) is None
-    tq, tr = Q.table, R.table
-    b_ok = c_ok = True
-    for x in Q.elements:
-        mx = m[x]
-        for y in Q.elements:
-            my = m[y]
-            if b_ok and {m[tq[x][y]], m[tq[y][x]]} != {tr[mx][my], tr[my][mx]}:
-                b_ok = False
-            if c_ok and tq[x][y] == tq[y][x] and tr[mx][my] != tr[my][mx]:
-                c_ok = False
-    return (a_ok, b_ok, c_ok)
+    s = _survey(f)
+    inverse_ok = half_iso_violation(s.pair.R, s.pair.Q, invert(s.mapping)) is None
+    same_sets = _swaps(s.P, s.C, s.I, s.A) or all(
+        _swaps(*rows) or all(map(_swaps, *rows)) for rows in zip(s.P, s.C, s.I, s.A)
+    )
+    return (inverse_ok, same_sets, s.special_witness is None)
 
 
 def special_symmetry_violation(f: HalfIso) -> tuple[int, int, str] | None:
     """Branch symmetry under argument swap, valid for special maps:
     if f(x*y) = f(x)f(y) then f(y*x) = f(y)f(x), and if f(x*y) = f(y)f(x)
     then f(y*x) = f(x)f(y)."""
-    Q, R, m = f.source, f.target, f.mapping
-    tq, tr = Q.table, R.table
-    for x in Q.elements:
-        mx = m[x]
-        for y in Q.elements:
-            my = m[y]
-            fw, sw = tr[mx][my], tr[my][mx]
-            v, w = m[tq[x][y]], m[tq[y][x]]
+    s = _survey(f)
+    for x, rows in enumerate(zip(s.P, s.C, s.I, s.A)):
+        if _swaps(*rows):
+            continue
+        for y, (v, w, fw, sw) in enumerate(zip(*rows)):
             if v == fw and w != sw:
                 return (x, y, "first-branch")
             if v == sw and w != fw:
@@ -188,43 +274,42 @@ def lemma41_violations(f: HalfIso) -> list[tuple[int, int]]:
     target satisfies the commuting condition; sound only under those audit
     hypotheses.
     """
-    Q, R, m = f.source, f.target, f.mapping
-    tq, tr = Q.table, R.table
-    out = []
-    for x in Q.elements:
-        mx = m[x]
-        xi = Q.inverse(x)
-        mxi = m[xi]
-        for y in Q.elements:
-            my = m[y]
-            if (
-                m[tq[x][y]] == tr[mx][my]
-                and m[tq[y][xi]] == tr[mxi][my]
-                and tr[mx][my] != tr[my][mx]
-            ):
-                out.append((x, y))
-    return out
+    s = _survey(f)
+    inverses, P, I, A = list(map(s.pair.Q.inverse, s.pair.Q.elements)), s.P, s.I, s.A
+    return [
+        (x, y)
+        for x, xi in enumerate(inverses) if I[x] != A[x]
+        for y, (v, fw, sw, w, u) in enumerate(zip(P[x], I[x], A[x], s.C[xi], I[xi]))
+        if v == fw and w == u and fw != sw
+    ]
 
 
 def power_map_violation(f: HalfIso) -> tuple[int, int] | None:
     """Least (x, k) with f(x^k) != f(x)^k over |k| <= order.
 
     Meaningful for power-associative source and target, where every
-    half-isomorphism must commute with powers.
+    half-isomorphism must commute with powers.  Both sides are one run of
+    bytes per x, in the order of the witness: the first entry where they
+    differ, or where either power is missing, is the least (x, k).  A
+    missing power raises as `power` does, Q's first.
     """
-    Q, R, m = f.source, f.target, f.mapping
-    tables = [(k, Q.power_table(k), R.power_table(k)) for k in range(-Q.order, Q.order + 1)]
-    for x in Q.elements:
-        mx = m[x]
-        for k, qk, rk in tables:
-            # -1 marks a missing inverse: `power` raises for it, Q first
-            if qk[x] < 0:
-                Q.power(x, k)
-            if rk[mx] < 0:
-                R.power(mx, k)
-            if m[qk[x]] != rk[mx]:
-                return (x, k)
-    return None
+    s = _survey(f)
+    q_runs, r_runs = s.pair.powers
+    lhs = q_runs.translate(s.f)  # f(x^k)
+    rhs = b"".join(map(r_runs.__getitem__, s.images))  # f(x)^k
+    if lhs == rhs and _MISSING not in lhs:
+        return None
+    marks = [lhs.find(_MISSING), rhs.find(_MISSING)]
+    if lhs != rhs:
+        marks.append(_first_difference(lhs, rhs))
+    least = min(i for i in marks if i >= 0)
+    x, k = divmod(least, 2 * s.pair.n + 1)
+    k -= s.pair.n
+    if lhs[least] == _MISSING:
+        s.pair.Q.power(x, k)
+    if rhs[least] == _MISSING:
+        s.pair.R.power(s.mapping[x], k)
+    return (x, k)
 
 
 def semi_homomorphism_violation(f: HalfIso) -> tuple[int, int] | None:
@@ -233,17 +318,14 @@ def semi_homomorphism_violation(f: HalfIso) -> tuple[int, int] | None:
     Requires flexible source and target so that both sides are unambiguous;
     raises `NotFlexible` otherwise.
     """
-    for L in (f.source, f.target):
+    s = _survey(f)
+    for L in (s.pair.Q, s.pair.R):
         if not is_flexible(L):
             raise NotFlexible(f"{L!r} is not flexible")
-    Q, R, m = f.source, f.target, f.mapping
-    tq, tr = Q.table, R.table
-    for x in Q.elements:
-        mx = m[x]
-        for y in Q.elements:
-            if m[tq[tq[x][y]][x]] != tr[tr[mx][m[y]]][mx]:
-                return (x, y)
-    return None
+    # f((x*y)*x), and (f(x)f(y))f(x): row f(x)f(-) through R's column f(x)
+    lhs = s.pair.q_flexes.translate(s.f)
+    rhs = b"".join(map(bytes.translate, s.I, map(s.pair.r_cols.__getitem__, s.images)))
+    return None if lhs == rhs else divmod(_first_difference(lhs, rhs), s.pair.n)
 
 
 def is_semi_homomorphism(f: HalfIso) -> bool:
@@ -324,31 +406,31 @@ def conjugation_transport_violations(f: HalfIso) -> list[tuple[int, int, str]]:
     conjugated either way; for strictly isomorphism-like pairs conjugation
     transports directly, for strictly anti-isomorphism-like pairs it
     transports through the inverse.  Sound under the audit hypotheses
-    (automorphic loops, target satisfying the commuting condition).
+    (automorphic loops, target satisfying the commuting condition).  A row
+    where all four conjugates agree satisfies every case.
     """
-    Q, R, m = f.source, f.target, f.mapping
-    tq, tr = Q.table, R.table
+    s = _survey(f)
+    pair, m = s.pair, s.mapping
+    phi_q, phi_r, inv_q, inv_r = pair.conjugations
+    conj = [phi.translate(s.f) for phi in phi_q]  # f(y^x) over y
+    conj_image = [s.images.translate(phi) for phi in phi_r]  # f(y)^v over y
     out = []
-    phi_q = [conjugation_map(Q, x) for x in Q.elements]
-    phi_r = [conjugation_map(R, v) for v in R.elements]
-    inv_q = [Q.inverse(x) for x in Q.elements]
-    inv_r = [R.inverse(v) for v in R.elements]
-    for x in Q.elements:
-        mx = m[x]
-        for y in Q.elements:
-            my = m[y]
-            fyx = m[phi_q[x][y]]          # f(y^x)
-            fyxi = m[phi_q[inv_q[x]][y]]  # f(y^(x^-1))
-            direct = phi_r[mx][my]        # f(y)^f(x)
-            through_inv = phi_r[inv_r[mx]][my]
-            if tq[x][y] == tq[y][x]:
-                if not (fyx == direct == through_inv):
+    for x, (p, i, a) in enumerate(zip(s.P, s.I, s.A)):
+        fyx, fyxi = conj[x], conj[inv_q[x]]
+        direct, through_inv = conj_image[m[x]], conj_image[inv_r[m[x]]]
+        if fyx == direct == through_inv == fyxi:
+            continue
+        commuting = map(eq, pair.q_rows[x], pair.q_cols[x])
+        cells = zip(commuting, p, i, a, fyx, fyxi, direct, through_inv)
+        for y, (same, v, fw, sw, g, gi, d, t) in enumerate(cells):
+            if same:
+                if not (g == d == t):
                     out.append((x, y, "commuting"))
-            elif m[tq[x][y]] == tr[mx][my]:
-                if fyx != direct or fyxi != through_inv:
+            elif v == fw:
+                if g != d or gi != t:
                     out.append((x, y, "first-branch"))
-            elif m[tq[x][y]] == tr[my][mx]:
-                if fyx != through_inv or fyxi != direct:
+            elif v == sw:
+                if g != t or gi != d:
                     out.append((x, y, "second-branch"))
     return out
 
@@ -356,26 +438,15 @@ def conjugation_transport_violations(f: HalfIso) -> list[tuple[int, int, str]]:
 def ab_partition_violation(f: HalfIso) -> tuple[int, int] | None:
     """Re-verify the union argument behind non-triviality obstructions.
 
-    A is the set of elements pairing isomorphism-like with everything, B the
-    anti-isomorphism-like set.  When A and B cover the whole loop (no
-    GG-triple exists), one of them must already be the whole loop; returns
-    (|A|, |B|) when that fails.
+    A is the set of elements pairing isomorphism-like with everything (P
+    row equal to I row), B the anti-isomorphism-like set.  When A and B
+    cover the whole loop (no GG-triple exists), one of them must already be
+    the whole loop; returns (|A|, |B|) when that fails.
     """
-    Q, R, m = f.source, f.target, f.mapping
-    tq, tr = Q.table, R.table
-    n = Q.order
-    a_set = [
-        x
-        for x in range(n)
-        if all(m[tq[x][u]] == tr[m[x]][m[u]] for u in range(n))
-    ]
-    b_set = [
-        x
-        for x in range(n)
-        if all(m[tq[x][u]] == tr[m[u]][m[x]] for u in range(n))
-    ]
-    if len(set(a_set) | set(b_set)) == n and len(a_set) != n and len(b_set) != n:
-        return (len(a_set), len(b_set))
+    s = _survey(f)
+    in_a, in_b = list(map(eq, s.P, s.I)), list(map(eq, s.P, s.A))
+    if all(map(or_, in_a, in_b)) and not s.iso and not s.anti:
+        return (sum(in_a), sum(in_b))
     return None
 
 
@@ -386,13 +457,8 @@ def speciality_check(f: HalfIso, report: AnalysisReport, names: tuple[str, str])
     """Report a map on which the three speciality criteria disagree."""
     crits = speciality_criteria(f)
     if len(set(crits)) != 1:
-        report.add(
-            "speciality-criteria-disagree",
-            level="finding",
-            loops=names,
-            witness=(one_based(f.mapping), crits),
-            anchor="prop27",
-        )
+        report.add("speciality-criteria-disagree", level="finding", loops=names,
+                   witness=(one_based(f.mapping), crits), anchor="prop27")
 
 
 def power_check(f: HalfIso, report: AnalysisReport, names: tuple[str, str]) -> None:
@@ -400,14 +466,8 @@ def power_check(f: HalfIso, report: AnalysisReport, names: tuple[str, str]) -> N
     source and target are power-associative."""
     w = power_map_violation(f)
     if w is not None:
-        report.add(
-            "power-map-violation",
-            level="finding",
-            loops=names,
-            witness=(w[0] + 1, w[1]),
-            anchor="prop28",
-            map=one_based(f.mapping),
-        )
+        report.add("power-map-violation", level="finding", loops=names,
+                   witness=(w[0] + 1, w[1]), anchor="prop28", map=one_based(f.mapping))
 
 
 def audit_theorem41(
@@ -424,7 +484,8 @@ def audit_theorem41(
     to R must classify trivial and special, be a semi-homomorphism, admit no
     GG-triple, transport conjugation per the case split, and pass the union
     re-verification; if at least one half-isomorphism exists the source must
-    itself satisfy co1.  Unmet hypotheses are reported, not raised.
+    itself satisfy co1.  Unmet hypotheses are reported, not raised.  Every
+    check of a map reads the one survey built for it.
     """
     names = (Q.name or "Q", R.name or "R")
     report = AnalysisReport()
@@ -436,114 +497,52 @@ def audit_theorem41(
     if not satisfies_co1(R):
         unmet.append("target-fails-co1")
     if unmet:
-        report.add(
-            "hypotheses-not-met",
-            level="notice",
-            loops=names,
-            anchor="theorem41",
-            unmet=unmet,
-        )
+        report.add("hypotheses-not-met", level="notice", loops=names, anchor="theorem41",
+                   unmet=unmet)
         return report
 
+    def finding(kind, anchor, witness, **data):
+        if "map" in data:
+            data["map"] = one_based(data["map"].mapping)
+        report.add(kind, level="finding", loops=names, witness=witness, anchor=anchor, **data)
+
+    pair = _Pair(Q, R)
     count = 0
     for f in maps:
         count += 1
-        cls = classify(f)
+        s = _Survey(pair, f.mapping)
+        cls = classify(s)
         if not cls.trivial:
-            report.add(
-                "nontrivial-halfiso",
-                level="finding",
-                loops=names,
-                witness=one_based(f.mapping),
-                anchor="theorem41",
-            )
+            finding("nontrivial-halfiso", "theorem41", one_based(f.mapping))
         if not cls.is_special:
-            report.add(
-                "nonspecial-halfiso",
-                level="finding",
-                loops=names,
-                witness=one_based(f.mapping),
-                anchor="prop41",
-                commuting_pair=one_based(cls.special_witness),
-            )
+            finding("nonspecial-halfiso", "prop41", one_based(f.mapping),
+                    commuting_pair=one_based(cls.special_witness))
         if cls.gg_triples:
-            report.add(
-                "gg-triples-found",
-                level="finding",
-                loops=names,
-                witness=one_based(cls.gg_triples[0]),
-                anchor="prop45",
-                map=one_based(f.mapping),
-            )
-        w = semi_homomorphism_violation(f)
+            finding("gg-triples-found", "prop45", one_based(cls.gg_triples[0]), map=f)
+        w = semi_homomorphism_violation(s)
         if w is not None:
-            report.add(
-                "not-semi-homomorphism",
-                level="finding",
-                loops=names,
-                witness=one_based(w),
-                anchor="prop42",
-                map=one_based(f.mapping),
-            )
-        if cls.is_special:
-            sym = special_symmetry_violation(f)
-            if sym is not None:
-                report.add(
-                    "branch-symmetry-violation",
-                    level="finding",
-                    loops=names,
-                    witness=(sym[0] + 1, sym[1] + 1, sym[2]),
-                    anchor="prop27",
-                    map=one_based(f.mapping),
-                )
-        for x, y in lemma41_violations(f):
-            report.add(
-                "commuting-image-violation",
-                level="finding",
-                loops=names,
-                witness=(x + 1, y + 1),
-                anchor="lemma41",
-                map=one_based(f.mapping),
-            )
-        speciality_check(f, report, names)
+            finding("not-semi-homomorphism", "prop42", one_based(w), map=f)
+        sym = special_symmetry_violation(s) if cls.is_special else None
+        if sym is not None:
+            finding("branch-symmetry-violation", "prop27", (sym[0] + 1, sym[1] + 1, sym[2]),
+                    map=f)
+        for x, y in lemma41_violations(s):
+            finding("commuting-image-violation", "lemma41", (x + 1, y + 1), map=f)
+        speciality_check(s, report, names)
         # Automorphic loops are power-associative (Bruck and Paige 1956), so
         # every element has a two-sided inverse and both checks below apply.
-        power_check(f, report, names)
-        for x, y, case in conjugation_transport_violations(f):
-            report.add(
-                "conjugation-transport-violation",
-                level="finding",
-                loops=names,
-                witness=(x + 1, y + 1, case),
-                anchor="lemma44",
-                map=one_based(f.mapping),
-            )
-        ab = ab_partition_violation(f)
+        power_check(s, report, names)
+        for x, y, case in conjugation_transport_violations(s):
+            finding("conjugation-transport-violation", "lemma44", (x + 1, y + 1, case),
+                    map=f)
+        ab = ab_partition_violation(s)
         if ab is not None:
-            report.add(
-                "ab-partition-violation",
-                level="finding",
-                loops=names,
-                witness=ab,
-                anchor="lemma42",
-                map=one_based(f.mapping),
-            )
+            finding("ab-partition-violation", "lemma42", ab, map=f)
     if count > 0 and not satisfies_co1(Q):
         x, y, direction = co1_violation(Q)
-        report.add(
-            "co1-transfer-violation",
-            level="finding",
-            loops=names,
-            witness=(x + 1, y + 1, direction),
-            anchor="prop43",
-        )
-    report.add(
-        "audit-summary",
-        loops=names,
-        anchor="theorem41",
-        half_isomorphisms=count,
-        findings=len(report.findings),
-    )
+        finding("co1-transfer-violation", "prop43", (x + 1, y + 1, direction))
+    report.add("audit-summary", loops=names, anchor="theorem41", half_isomorphisms=count,
+               findings=len(report.findings))
     return report
 
 

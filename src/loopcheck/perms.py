@@ -16,7 +16,7 @@ from .table import (
     _MISSING,
     _first_difference,
     _getter,
-    _translations,
+    _products,
     is_associative,
     is_power_associative,
     multiplication_closure,
@@ -332,7 +332,7 @@ def bijection_search(
 
     An element x that propagation assigns is first checked a row at a time:
     with f as a byte string (`_MISSING` where unassigned), four
-    `bytes.translate` calls through the loops' `_translations` give f(x*y),
+    `bytes.translate` calls through the loops' `_products` give f(x*y),
     f(y*x), f(x)f(y) and f(y)f(x) for every y.  When both sides of x match
     allowed rows, every product of x with an assigned y is assigned and
     allowed, and x is done.  Otherwise, and for the element just branched on
@@ -343,8 +343,7 @@ def bijection_search(
         return
     n = L1.order
     t1, t2, u1, u2 = L1.table, L2.table, L1.columns, L2.columns
-    rows1, cols1 = _translations(L1, "table", "rows"), _translations(L1, "table", "cols")
-    rows2, cols2 = _translations(L2, "table", "rows"), _translations(L2, "table", "cols")
+    (rows1, cols1), (rows2, cols2) = _products(L1), _products(L2)
     pad = bytes(256 - n)  # makes bytes(f) a translation table; never read
     bits, element_of_bit = _BITS, _ELEMENT_OF_BIT
     if is_power_associative(L1) and is_power_associative(L2):

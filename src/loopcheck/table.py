@@ -291,6 +291,13 @@ def _translations(L: LoopTable, attr: str, axis: str | int):
     return tuple(bytes(r) + pad for r in rows)
 
 
+@per_loop
+def _products(L: LoopTable):
+    """`L`'s product translations by row and by column, from one lookup
+    that builds no key tuple: searches and surveys read both per call."""
+    return _translations(L, "table", "rows"), _translations(L, "table", "cols")
+
+
 def _first_difference(p, q) -> int:
     """The least index at which the equal-length sequences p and q differ;
     they must differ somewhere.  One C pass builds the comparison list."""

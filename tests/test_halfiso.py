@@ -1,9 +1,12 @@
+import random
 import warnings
 from itertools import permutations
 
 import pytest
 
 from loopcheck.halfiso import (
+    GG_CAP,
+    Classification,
     HalfIso,
     NotFlexible,
     NotHalfIsomorphism,
@@ -17,19 +20,26 @@ from loopcheck.halfiso import (
     identity_half_iso,
     is_half_isomorphism,
     is_semi_homomorphism,
+    lemma41_violations,
     make_half_iso,
     naive_half_isos,
     power_map_violation,
     scan_conjecture51,
+    semi_homomorphism_violation,
+    special_symmetry_violation,
     speciality_criteria,
 )
 from loopcheck.catalog import builtin_loops, generate_loops
 from loopcheck.perms import invert, isomorphisms
 from loopcheck.table import (
-    NoTwoSidedInverse,
+    LoopError,
+    LoopTable,
     cyclic_group,
+    direct_product,
     is_commutative,
+    is_flexible,
     is_power_associative,
+    make_loop,
     opposite,
 )
 
@@ -101,8 +111,6 @@ def test_speciality_criteria_agree(star, dot, c5, s3):
 
 def test_special_maps_have_branch_symmetry(c5, c7, s3, dot):
     # swapping the arguments of a special map swaps the branch taken
-    from loopcheck.halfiso import special_symmetry_violation
-
     for Q in (c5, c7, s3):
         for f in all_half_isos(Q, Q):
             if classify(f).is_special:
@@ -113,8 +121,6 @@ def test_special_maps_have_branch_symmetry(c5, c7, s3, dot):
 
 
 def test_lemma41_empty_under_hypotheses(c5, c7):
-    from loopcheck.halfiso import lemma41_violations
-
     for Q in (c5, c7):
         for f in all_half_isos(Q, Q):
             assert lemma41_violations(f) == []
@@ -205,47 +211,370 @@ def _scalar_power_map_violation(f):
     return None
 
 
-def _power_map_outcome(violation, f):
+# ---------------------------------------------------------------------------
+# Scalar oracles: the definitions the survey-based checks replaced, one pair
+# at a time.
+
+def _scalar_half_iso_violation(Q: LoopTable, R: LoopTable, mapping) -> tuple[int, int] | None:
+    """Least pair (a, b) with f(a*b) outside {f(a)f(b), f(b)f(a)}, or None."""
+    m = tuple(mapping)
+    if Q.order != R.order:
+        raise ValueError("half-isomorphisms need equal orders")
+    if sorted(m) != list(range(Q.order)):
+        raise ValueError("mapping is not a bijection")
+    tq, tr = Q.table, R.table
+    for a in Q.elements:
+        ma = m[a]
+        for b in Q.elements:
+            mb = m[b]
+            v = m[tq[a][b]]
+            if v != tr[ma][mb] and v != tr[mb][ma]:
+                return (a, b)
+    return None
+
+
+def _scalar_classify(f: HalfIso) -> Classification:
+    """Branch survey of a half-isomorphism.
+
+    A pair takes the first branch when f(a*b) = f(a)f(b) and the second when
+    f(a*b) = f(b)f(a); both at once iff the images commute.  The map is an
+    isomorphism when every pair takes the first branch, an anti-isomorphism
+    when every pair takes the second, and both flags may hold together (the
+    two branches coincide on commuting images).  Speciality is decided by
+    the commuting-pairs criterion; `speciality_criteria` exposes the other
+    two equivalent formulations for cross-validation.  GG-triples are
+    collected in lexicographic order, at most `GG_CAP` of them.
+    """
+    Q, R, m = f.source, f.target, f.mapping
+    tq, tr = Q.table, R.table
+    n = Q.order
+    iso = anti = True
+    special_w = None
+    for a in range(n):
+        ma = m[a]
+        for b in range(n):
+            mb = m[b]
+            v = m[tq[a][b]]
+            iso = iso and v == tr[ma][mb]
+            anti = anti and v == tr[mb][ma]
+            if special_w is None and tq[a][b] == tq[b][a] and tr[ma][mb] != tr[mb][ma]:
+                special_w = (a, b)
+    gg: list[tuple[int, int, int]] = []
+    for x in range(n):
+        mx = m[x]
+        ys, zs = [], []
+        for y in range(n):
+            my = m[y]
+            fw, sw = tr[mx][my], tr[my][mx]
+            if fw == sw:
+                continue
+            v = m[tq[x][y]]
+            if v == fw:
+                ys.append(y)
+            elif v == sw:
+                zs.append(y)
+        gg.extend((x, y, z) for y in ys for z in zs)
+        if len(gg) >= GG_CAP:
+            break
+    return Classification(
+        is_isomorphism=iso,
+        is_anti_isomorphism=anti,
+        is_special=special_w is None,
+        gg_triples=tuple(gg[:GG_CAP]),
+        trivial=iso or anti,
+        special_witness=special_w,
+    )
+
+
+def _scalar_speciality_criteria(f: HalfIso) -> tuple[bool, bool, bool]:
+    """The three equivalent speciality tests, evaluated independently:
+    (a) the inverse mapping is a half-isomorphism,
+    (b) {f(x*y), f(y*x)} = {f(x)f(y), f(y)f(x)} for all pairs,
+    (c) commuting pairs have commuting images.
+    """
+    Q, R, m = f.source, f.target, f.mapping
+    inv = invert(m)
+    a_ok = _scalar_half_iso_violation(R, Q, inv) is None
+    tq, tr = Q.table, R.table
+    b_ok = c_ok = True
+    for x in Q.elements:
+        mx = m[x]
+        for y in Q.elements:
+            my = m[y]
+            if b_ok and {m[tq[x][y]], m[tq[y][x]]} != {tr[mx][my], tr[my][mx]}:
+                b_ok = False
+            if c_ok and tq[x][y] == tq[y][x] and tr[mx][my] != tr[my][mx]:
+                c_ok = False
+    return (a_ok, b_ok, c_ok)
+
+
+def _scalar_special_symmetry_violation(f: HalfIso) -> tuple[int, int, str] | None:
+    """Branch symmetry under argument swap, valid for special maps:
+    if f(x*y) = f(x)f(y) then f(y*x) = f(y)f(x), and if f(x*y) = f(y)f(x)
+    then f(y*x) = f(x)f(y)."""
+    Q, R, m = f.source, f.target, f.mapping
+    tq, tr = Q.table, R.table
+    for x in Q.elements:
+        mx = m[x]
+        for y in Q.elements:
+            my = m[y]
+            fw, sw = tr[mx][my], tr[my][mx]
+            v, w = m[tq[x][y]], m[tq[y][x]]
+            if v == fw and w != sw:
+                return (x, y, "first-branch")
+            if v == sw and w != fw:
+                return (x, y, "second-branch")
+    return None
+
+
+def _scalar_lemma41_violations(f: HalfIso) -> list[tuple[int, int]]:
+    """Pairs x, y with f(x*y) = f(x)f(y) and f(y*x^-1) = f(x^-1)f(y) whose
+    images nevertheless fail to commute.
+
+    Such pairs cannot exist when source and target are automorphic and the
+    target satisfies the commuting condition; sound only under those audit
+    hypotheses.
+    """
+    Q, R, m = f.source, f.target, f.mapping
+    tq, tr = Q.table, R.table
+    out = []
+    for x in Q.elements:
+        mx = m[x]
+        xi = Q.inverse(x)
+        mxi = m[xi]
+        for y in Q.elements:
+            my = m[y]
+            if (
+                m[tq[x][y]] == tr[mx][my]
+                and m[tq[y][xi]] == tr[mxi][my]
+                and tr[mx][my] != tr[my][mx]
+            ):
+                out.append((x, y))
+    return out
+
+
+def _scalar_semi_homomorphism_violation(f: HalfIso) -> tuple[int, int] | None:
+    """Least (x, y) with f((x*y)*x) != (f(x)f(y))f(x).
+
+    Requires flexible source and target so that both sides are unambiguous;
+    raises `NotFlexible` otherwise.
+    """
+    for L in (f.source, f.target):
+        if not is_flexible(L):
+            raise NotFlexible(f"{L!r} is not flexible")
+    Q, R, m = f.source, f.target, f.mapping
+    tq, tr = Q.table, R.table
+    for x in Q.elements:
+        mx = m[x]
+        for y in Q.elements:
+            if m[tq[tq[x][y]][x]] != tr[tr[mx][m[y]]][mx]:
+                return (x, y)
+    return None
+
+
+def _scalar_conjugation_transport_violations(f: HalfIso) -> list[tuple[int, int, str]]:
+    """Case-split transport of conjugation through a half-isomorphism.
+
+    For commuting x, y the image of y conjugated by x must equal the image
+    conjugated either way; for strictly isomorphism-like pairs conjugation
+    transports directly, for strictly anti-isomorphism-like pairs it
+    transports through the inverse.  Sound under the audit hypotheses
+    (automorphic loops, target satisfying the commuting condition).
+    """
+    Q, R, m = f.source, f.target, f.mapping
+    tq, tr = Q.table, R.table
+    out = []
+    phi_q = [conjugation_map(Q, x) for x in Q.elements]
+    phi_r = [conjugation_map(R, v) for v in R.elements]
+    inv_q = [Q.inverse(x) for x in Q.elements]
+    inv_r = [R.inverse(v) for v in R.elements]
+    for x in Q.elements:
+        mx = m[x]
+        for y in Q.elements:
+            my = m[y]
+            fyx = m[phi_q[x][y]]          # f(y^x)
+            fyxi = m[phi_q[inv_q[x]][y]]  # f(y^(x^-1))
+            direct = phi_r[mx][my]        # f(y)^f(x)
+            through_inv = phi_r[inv_r[mx]][my]
+            if tq[x][y] == tq[y][x]:
+                if not (fyx == direct == through_inv):
+                    out.append((x, y, "commuting"))
+            elif m[tq[x][y]] == tr[mx][my]:
+                if fyx != direct or fyxi != through_inv:
+                    out.append((x, y, "first-branch"))
+            elif m[tq[x][y]] == tr[my][mx]:
+                if fyx != through_inv or fyxi != direct:
+                    out.append((x, y, "second-branch"))
+    return out
+
+
+def _scalar_ab_partition_violation(f: HalfIso) -> tuple[int, int] | None:
+    """Re-verify the union argument behind non-triviality obstructions.
+
+    A is the set of elements pairing isomorphism-like with everything, B the
+    anti-isomorphism-like set.  When A and B cover the whole loop (no
+    GG-triple exists), one of them must already be the whole loop; returns
+    (|A|, |B|) when that fails.
+    """
+    Q, R, m = f.source, f.target, f.mapping
+    tq, tr = Q.table, R.table
+    n = Q.order
+    a_set = [
+        x
+        for x in range(n)
+        if all(m[tq[x][u]] == tr[m[x]][m[u]] for u in range(n))
+    ]
+    b_set = [
+        x
+        for x in range(n)
+        if all(m[tq[x][u]] == tr[m[u]][m[x]] for u in range(n))
+    ]
+    if len(set(a_set) | set(b_set)) == n and len(a_set) != n and len(b_set) != n:
+        return (len(a_set), len(b_set))
+    return None
+
+
+def dihedral_like(m, alpha):
+    """Dih(m, alpha) on Z_2 x Z_m, (i, u) numbered i*m + u:
+    (i, u)(j, v) = (i + j, ((-1)^j u + v) alpha^(ij))."""
+    def mul(a, b):
+        (i, u), (j, v) = divmod(a, m), divmod(b, m)
+        return (i + j) % 2 * m + ((-1) ** j * u + v) * alpha ** (i * j) % m
+
+    n = 2 * m
+    return make_loop([[mul(a, b) for b in range(n)] for a in range(n)], name=f"Dih({m},{alpha})")
+
+
+def relabeled_by(L, sigma):
+    """L with each element x renamed sigma[x], so that sigma is an
+    isomorphism onto it."""
+    t = [[0] * L.order for _ in L.elements]
+    for a, row in enumerate(L.table):
+        for b, c in enumerate(row):
+            t[sigma[a]][sigma[b]] = sigma[c]
+    return make_loop(t, name=f"{L.name}'")
+
+
+def test_half_iso_violation_rejects_bad_input(star, c5):
+    for Q, R, mapping in ((star, c5, range(5)), (star, star, [0] * 7)):
+        for check in (half_iso_violation, _scalar_half_iso_violation):
+            with pytest.raises(ValueError):
+                check(Q, R, mapping)
+
+
+def test_dihedral_like_maps_are_nontrivial():
+    maps = all_half_isos(dihedral_like(5, 2), dihedral_like(5, 3))
+    assert len(maps) == 40
+    assert not any(classify(f).trivial for f in maps)
+    assert all(classify(f).is_special for f in maps)
+
+
+class Raised(tuple):
+    """The type name and message of a `LoopError` a check raised."""
+
+
+def _outcome(check, f):
     try:
-        return violation(f)
-    except NoTwoSidedInverse as err:
-        return (type(err).__name__, err.element, err.left, err.right)
+        return check(f)
+    except LoopError as err:
+        return Raised((type(err).__name__, str(err)))
 
 
-def test_power_map_violation_matches_scalar_definition(star, dot):
+def _kind(outcome):
+    if isinstance(outcome, Raised):
+        return "raises"
+    if isinstance(outcome, Classification):
+        return "trivial" if outcome.trivial else "non-trivial"
+    return "witness" if outcome and outcome != (True, True, True) else "none"
+
+
+SURVEY_CHECKS = {
+    "half_iso_violation": (
+        lambda f: half_iso_violation(f.source, f.target, f.mapping),
+        lambda f: _scalar_half_iso_violation(f.source, f.target, f.mapping),
+        {"none", "witness"},
+    ),
+    "classify": (classify, _scalar_classify, {"trivial", "non-trivial"}),
+    "speciality_criteria": (speciality_criteria, _scalar_speciality_criteria, {"none", "witness"}),
+    "special_symmetry_violation": (
+        special_symmetry_violation, _scalar_special_symmetry_violation, {"none", "witness"}),
+    "lemma41_violations": (
+        lemma41_violations, _scalar_lemma41_violations, {"none", "witness", "raises"}),
+    "power_map_violation": (
+        power_map_violation, _scalar_power_map_violation, {"none", "witness", "raises"}),
+    "semi_homomorphism_violation": (
+        semi_homomorphism_violation, _scalar_semi_homomorphism_violation,
+        {"none", "witness", "raises"}),
+    "conjugation_transport_violations": (
+        conjugation_transport_violations, _scalar_conjugation_transport_violations,
+        {"none", "witness", "raises"}),
+    "ab_partition_violation": (
+        ab_partition_violation, _scalar_ab_partition_violation, {"none", "witness"}),
+}
+
+
+@pytest.fixture(scope="module")
+def survey_maps(star, dot, catalog6, witness_loops):
+    """Maps for the survey oracles: every bijection at order <= 4, every
+    half-isomorphism between catalog loops of order <= 5, the example pair,
+    the order-6 pairs whose rows mix both branches, dihedral-like pairs, and
+    on each witness loop a seeded bijection, that bijection as an isomorphism
+    onto the relabeled loop, and the identity onto the opposite loop."""
     loops = [e.loop for n in range(1, 6) for e in generate_loops(n)]
     maps = [
-        f
-        for Q in loops
-        for R in loops
-        if Q.order == R.order
-        for f in all_half_isos(Q, R)
-    ]
-    maps += [f for Q in (star, dot) for R in (star, dot) for f in all_half_isos(Q, R)]
-    # bijections that are not half-isomorphisms give violation witnesses
-    maps += [
         HalfIso(Q, R, p)
         for Q in loops
         for R in loops
         if Q.order == R.order <= 4
         for p in permutations(Q.elements)
     ]
-    raised = {}
-    kinds = set()
-    for f in maps:
-        want = _power_map_outcome(_scalar_power_map_violation, f)
-        assert _power_map_outcome(power_map_violation, f) == want, f
-        if want is None:
-            kinds.add("none")
-        elif isinstance(want[0], str):
-            kinds.add("raises")
-            key = (f.source.name, f.target.name)
-            raised[key] = raised.get(key, 0) + 1
-        else:
-            kinds.add("witness")
-    assert kinds == {"none", "raises", "witness"}
-    assert raised[("example21_star", "example21_dot")] == 6
-    assert raised[("example21_dot", "example21_dot")] == 1
+    maps += [f for Q in loops for R in loops if Q.order == R.order for f in all_half_isos(Q, R)]
+    maps += [f for Q in (star, dot) for R in (star, dot) for f in all_half_isos(Q, R)]
+    mixing = [
+        e.loop for e in catalog6
+        if not is_commutative(e.loop) and not is_power_associative(e.loop)
+    ]
+    maps += [f for Q in mixing for R in mixing for f in all_half_isos(Q, R)]
+    for m, alpha, beta in ((3, 2, 2), (5, 2, 3), (8, 3, 5)):
+        maps += all_half_isos(dihedral_like(m, alpha), dihedral_like(m, beta))
+    rng = random.Random(2201)
+    for L in witness_loops:
+        sigma = list(L.elements)
+        rng.shuffle(sigma)
+        maps += [
+            HalfIso(L, L, tuple(sigma)),
+            HalfIso(L, relabeled_by(L, sigma), tuple(sigma)),
+            HalfIso(L, opposite(L), tuple(L.elements)),
+        ]
+    return maps
+
+
+@pytest.mark.parametrize("name", SURVEY_CHECKS)
+def test_survey_checks_match_scalar_oracles(name, survey_maps):
+    check, oracle, kinds = SURVEY_CHECKS[name]
+    seen = set()
+    for f in survey_maps:
+        want = _outcome(oracle, f)
+        assert _outcome(check, f) == want, (name, f)
+        seen.add(_kind(want))
+    assert seen == kinds
+
+
+def test_survey_corpus_reaches_every_branch_case(survey_maps, star, dot):
+    example = [f for Q in (star, dot) for R in (star, dot) for f in all_half_isos(Q, R)]
+    raised = [
+        (f.source.name, f.target.name)
+        for f in example
+        if isinstance(_outcome(_scalar_power_map_violation, f), Raised)
+    ]
+    assert raised.count(("example21_star", "example21_dot")) == 6
+    assert raised.count(("example21_dot", "example21_dot")) == 1
+    classes = [_scalar_classify(f) for f in survey_maps]
+    assert any(c.gg_triples for c in classes)
+    assert any(not c.is_special for c in classes)
+    assert any(c.is_isomorphism and not c.is_anti_isomorphism for c in classes)
+    assert any(c.is_anti_isomorphism and not c.is_isomorphism for c in classes)
+    assert any(len(c.gg_triples) == GG_CAP for c in classes)
 
 
 def test_semi_homomorphism_iso_and_anti(s3, c7):
@@ -292,6 +621,20 @@ def test_audit_c7_pair(c7, star):
     assert not report.has_findings
     summary = [r for r in report.records if r.kind == "audit-summary"]
     assert summary and summary[0].data["half_isomorphisms"] == 6
+
+
+@pytest.mark.parametrize("p, k, gl_order", [(2, 4, 20160), (3, 3, 11232)])
+def test_audit_counts_gl_on_elementary_abelian_groups(p, k, gl_order):
+    # Between abelian groups every half-isomorphism is an automorphism, so
+    # Z_p^k -> Z_p^k has |GL(k, p)| of them, all trivial and special.
+    L = cyclic_group(p)
+    for _ in range(k - 1):
+        L = direct_product(L, cyclic_group(p))
+    rng = random.Random(2202)
+    Q, R = (relabeled_by(L, rng.sample(range(L.order), L.order)) for _ in range(2))
+    report = audit_theorem41(Q, R, enumerate_half_isos(Q, R))
+    assert [r.kind for r in report.records] == ["audit-summary"]
+    assert report.records[0].data == {"half_isomorphisms": gl_order, "findings": 0}
 
 
 def test_audit_reports_unmet_hypotheses(c7, dot, s3):
