@@ -118,6 +118,31 @@ class _Pair:
         phi_r = [bytes(conjugation_map(R, v)) + self.pad for v in R.elements]
         return phi_q, phi_r, list(map(Q.inverse, Q.elements)), list(map(R.inverse, R.elements))
 
+    @cached_property
+    def reverse(self) -> "_Pair":
+        """The pair R -> Q, which the inverses of the maps Q -> R read."""
+        return _Pair(self.R, self.Q)
+
+    def violation(self, mapping: bytes) -> tuple[int, int] | None:
+        """Least pair (a, b) with f(a*b) outside {f(a)f(b), f(b)f(a)}, or
+        None, for the bijection f given as its images.
+
+        Row x of f(x*-) is compared with f(x)f(-), then with f(-)f(x), and
+        scanned only when it differs from both."""
+        f = mapping + self.pad
+        r_rows, r_cols = self.r_rows, self.r_cols
+        for x, (row, fx) in enumerate(zip(self.q_rows, mapping)):
+            p = row.translate(f)
+            i = mapping.translate(r_rows[fx])
+            if p == i:
+                continue
+            a = mapping.translate(r_cols[fx])
+            if p != a:
+                allowed = list(map(or_, map(eq, p, i), map(eq, p, a)))
+                if False in allowed:
+                    return (x, allowed.index(False))
+        return None
+
 
 class _Survey:
     """The branch relation of one map f: Q -> R, four byte rows per x.
@@ -160,8 +185,20 @@ class _Survey:
 
 
 def _survey(f: HalfIso | _Survey) -> _Survey:
-    """The survey of f; `audit_theorem41` passes one survey to every check."""
+    """The survey of f; callers with many maps pass surveys from `surveys`."""
     return f if isinstance(f, _Survey) else _Survey(_Pair(f.source, f.target), f.mapping)
+
+
+def surveys(Q: LoopTable, R: LoopTable, maps: Iterable[HalfIso]) -> Iterator[_Survey]:
+    """The survey of each map Q -> R of `maps`, all reading one `_Pair`.
+
+    Every check below takes a survey in place of its map, with the same
+    answer; the pair is built at the first map."""
+    pair = None
+    for f in maps:
+        if pair is None:
+            pair = _Pair(Q, R)
+        yield _Survey(pair, f.mapping)
 
 
 def _swaps(p, c, i, a) -> bool:
@@ -176,13 +213,7 @@ def half_iso_violation(Q: LoopTable, R: LoopTable, mapping) -> tuple[int, int] |
         raise ValueError("half-isomorphisms need equal orders")
     if sorted(m) != list(range(Q.order)):
         raise ValueError("mapping is not a bijection")
-    s = _Survey(_Pair(Q, R), m)
-    for x, (p, i, a) in enumerate(zip(s.P, s.I, s.A)):
-        if p != i and p != a:
-            allowed = list(map(or_, map(eq, p, i), map(eq, p, a)))
-            if False in allowed:
-                return (x, allowed.index(False))
-    return None
+    return _Pair(Q, R).violation(bytes(m))
 
 
 def is_half_isomorphism(Q: LoopTable, R: LoopTable, mapping) -> bool:
@@ -243,7 +274,7 @@ def speciality_criteria(f: HalfIso) -> tuple[bool, bool, bool]:
     (c) commuting pairs have commuting images.
     """
     s = _survey(f)
-    inverse_ok = half_iso_violation(s.pair.R, s.pair.Q, invert(s.mapping)) is None
+    inverse_ok = s.pair.reverse.violation(bytes(invert(s.mapping))) is None
     same_sets = _swaps(s.P, s.C, s.I, s.A) or all(
         _swaps(*rows) or all(map(_swaps, *rows)) for rows in zip(s.P, s.C, s.I, s.A)
     )
@@ -453,17 +484,20 @@ def ab_partition_violation(f: HalfIso) -> tuple[int, int] | None:
 # ---------------------------------------------------------------------------
 # audits
 
-def speciality_check(f: HalfIso, report: AnalysisReport, names: tuple[str, str]) -> None:
-    """Report a map on which the three speciality criteria disagree."""
+def speciality_check(
+    f: HalfIso | _Survey, report: AnalysisReport, names: tuple[str, str]
+) -> None:
+    """Report a map, or the map of a survey, on which the three speciality
+    criteria disagree."""
     crits = speciality_criteria(f)
     if len(set(crits)) != 1:
         report.add("speciality-criteria-disagree", level="finding", loops=names,
                    witness=(one_based(f.mapping), crits), anchor="prop27")
 
 
-def power_check(f: HalfIso, report: AnalysisReport, names: tuple[str, str]) -> None:
-    """Report a map that does not commute with powers; call it only when
-    source and target are power-associative."""
+def power_check(f: HalfIso | _Survey, report: AnalysisReport, names: tuple[str, str]) -> None:
+    """Report a map, or the map of a survey, that does not commute with
+    powers; call it only when source and target are power-associative."""
     w = power_map_violation(f)
     if w is not None:
         report.add("power-map-violation", level="finding", loops=names,
@@ -506,38 +540,36 @@ def audit_theorem41(
             data["map"] = one_based(data["map"].mapping)
         report.add(kind, level="finding", loops=names, witness=witness, anchor=anchor, **data)
 
-    pair = _Pair(Q, R)
     count = 0
-    for f in maps:
+    for s in surveys(Q, R, maps):
         count += 1
-        s = _Survey(pair, f.mapping)
         cls = classify(s)
         if not cls.trivial:
-            finding("nontrivial-halfiso", "theorem41", one_based(f.mapping))
+            finding("nontrivial-halfiso", "theorem41", one_based(s.mapping))
         if not cls.is_special:
-            finding("nonspecial-halfiso", "prop41", one_based(f.mapping),
+            finding("nonspecial-halfiso", "prop41", one_based(s.mapping),
                     commuting_pair=one_based(cls.special_witness))
         if cls.gg_triples:
-            finding("gg-triples-found", "prop45", one_based(cls.gg_triples[0]), map=f)
+            finding("gg-triples-found", "prop45", one_based(cls.gg_triples[0]), map=s)
         w = semi_homomorphism_violation(s)
         if w is not None:
-            finding("not-semi-homomorphism", "prop42", one_based(w), map=f)
+            finding("not-semi-homomorphism", "prop42", one_based(w), map=s)
         sym = special_symmetry_violation(s) if cls.is_special else None
         if sym is not None:
             finding("branch-symmetry-violation", "prop27", (sym[0] + 1, sym[1] + 1, sym[2]),
-                    map=f)
+                    map=s)
         for x, y in lemma41_violations(s):
-            finding("commuting-image-violation", "lemma41", (x + 1, y + 1), map=f)
+            finding("commuting-image-violation", "lemma41", (x + 1, y + 1), map=s)
         speciality_check(s, report, names)
         # Automorphic loops are power-associative (Bruck and Paige 1956), so
         # every element has a two-sided inverse and both checks below apply.
         power_check(s, report, names)
         for x, y, case in conjugation_transport_violations(s):
             finding("conjugation-transport-violation", "lemma44", (x + 1, y + 1, case),
-                    map=f)
+                    map=s)
         ab = ab_partition_violation(s)
         if ab is not None:
-            finding("ab-partition-violation", "lemma42", ab, map=f)
+            finding("ab-partition-violation", "lemma42", ab, map=s)
     if count > 0 and not satisfies_co1(Q):
         x, y, direction = co1_violation(Q)
         finding("co1-transfer-violation", "prop43", (x + 1, y + 1, direction))
@@ -548,13 +580,14 @@ def audit_theorem41(
 
 def scan_conjecture51(
     catalog: Sequence[tuple[str, LoopTable]],
-    half_isos: Callable[[LoopTable, LoopTable], Iterable[HalfIso]],
+    half_isos: Callable[[LoopTable, LoopTable], Iterable[HalfIso | _Survey]],
 ) -> AnalysisReport:
     """Scan every ordered pair of equal-order automorphic loops for a
     non-special half-isomorphism.
 
-    `half_isos(Q, R)` must yield every half-isomorphism from Q to R, such
-    as `enumerate_half_isos` does; the scan checks only the maps it yields.
+    `half_isos(Q, R)` must yield every half-isomorphism from Q to R, or its
+    survey, such as `enumerate_half_isos` does; the scan checks only the
+    maps it yields.
     An empty finding list means the speciality conjecture is consistent at
     this scale.  Any candidate finding is re-verified with the oracle
     `naive_half_isos` before being reported; reports carry the confirmation

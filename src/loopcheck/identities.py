@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import warnings
 from functools import cached_property, lru_cache
-from itertools import chain, product, repeat
+from itertools import chain, permutations, product, repeat
 from typing import Iterator, Mapping, Union
 
 from ._record import field, record, replace
@@ -252,6 +252,7 @@ class _Parser:
         self.i = 0
         self.macros = macros
         self.depth = 0  # open parentheses and macro argument lists
+        self.variables: dict[str, Var] = {}  # one record per name
 
     def grow(self, height: int, size: int, pos: int) -> tuple[int, int]:
         if height > MAX_NESTING:
@@ -361,7 +362,10 @@ class _Parser:
             return out
         if kind == "NAME":
             if self.peek() != "LPAREN":
-                return Var(value), 0, 1
+                var = self.variables.get(value)
+                if var is None:
+                    var = self.variables[value] = Var(value)
+                return var, 0, 1
             self.next()
             args = [self.nested_term(pos)]
             while self.peek() == "COMMA":
@@ -644,6 +648,12 @@ def _by_runs(tables, r: bytes, b: bytes, n: int) -> bytes:
     return b"".join([b[s : s + n].translate(tables[r[s]]) for s in range(0, len(b), n)])
 
 
+def _by_runs_and_strides(tables, r: bytes, c: bytes, n: int) -> bytes:
+    # r is constant along each run of n and c along each stride-n slice, so
+    # every run of c is its first
+    return b"".join(map(c[:n].translate, map(tables.__getitem__, r[::n])))
+
+
 def _by_strides(tables, c: bytes, b: bytes, n: int) -> bytes:
     # c is constant along each stride-n slice: slice y is c[y]
     out = bytearray(len(b))
@@ -666,27 +676,40 @@ def _positions(lhs: bytes, rhs: bytes, marks: bytes) -> int:
 class _Plan:
     """A statement compiled once, for every loop it is evaluated on.
 
-    A block holds every assignment of the last (at most two) variables, the
-    tail, for one assignment of the leading ones, so it has n^tail <= n^2
-    assignments.  Every slot holds the values of one subterm over a block:
-    first the variables, then the constant 1, then one slot per distinct
-    compound subterm.  `keys` name the compound slots in slot order, which
-    is the tree walker's order (operands before their parent, the divisor of
-    ``/`` first): ``(Mul|LDiv|RDiv, i, j)`` looks up slots i and j in a
-    product or division table, ``(Pow, i, k)`` looks up slot i in the k-th
-    power table.
+    Every slot holds the values of one subterm over a block of assignments:
+    first the variables, in statement order, then the constant 1, then one
+    slot per distinct compound subterm.  `keys` name the compound slots in
+    slot order, which is the tree walker's order (operands before their
+    parent, the divisor of ``/`` first): ``(Mul|LDiv|RDiv, i, j)`` looks up
+    slots i and j in a product or division table, ``(Pow, i, k)`` looks up
+    slot i in the k-th power table.
 
-    A slot's shape says which tail variables its values depend on: bit 1
-    the first, bit 2 the second (a single tail variable counts as both).
-    So a shape-0 slot is constant over the block, a shape-1 slot along each
-    run of n assignments, and a shape-2 slot along each stride-n slice.
-    `steps` turn the keys into kernels chosen by those shapes:
-    ``(kernel, attr, axis, i, j)`` computes a slot from slots i and j
-    through the translations ``_translations(L, attr, axis)``, so binding a
-    plan to a loop only looks tables up.
+    An arrangement lists the variable slots, the leading variables first and
+    then the (at most two) tail variables.  A block holds every assignment
+    of the tail for one assignment of the leading variables, so it has
+    n^tail <= n^2 assignments.  A slot's shape says which tail variables its
+    values depend on: bit 1 the first, bit 2 the second (a single tail
+    variable counts as both).  So a shape-0 slot is constant over the block,
+    a shape-1 slot along each run of n assignments, and a shape-2 slot along
+    each stride-n slice.  Steps turn the keys into kernels chosen by those
+    shapes: ``(kernel, attr, axis, i, j)`` computes a slot from slots i and
+    j through the translations ``_translations(L, attr, axis)``, so binding
+    a plan to a loop only looks tables up.
+
+    The arrangement decides the kernels, so `order` is the one of least
+    estimated cost, scored from the shapes alone with `COSTS` (statement
+    order wins a tie), and `steps` are its steps.  `statement_steps` are the
+    steps of `statement_order`, with the last two variables in the tail in
+    the order they are written; the replay of a failing statement builds
+    them on first use.
     """
 
     TABLES = {Mul: "table", LDiv: "ldiv_table", RDiv: "rdiv_table"}
+    # The relative cost at n = 32 of a binary step by the least shape of its
+    # operands, 0, 1, 2 or 3: one translation per block, one per run, one
+    # per stride, one lookup per assignment.  A power step is one
+    # translation in every arrangement, so it takes no part.
+    COSTS = (1, 8, 14, 60)
 
     def __init__(self, stmt: IdentityStatement):
         self.names = names = stmt.variables
@@ -696,49 +719,102 @@ class _Plan:
             [(expand_term(eq.lhs, stmt.macros), expand_term(eq.rhs, stmt.macros)) for eq in eqs]
             for eqs in (stmt.hypotheses, stmt.conclusion)
         )
-        slots: dict = {Var(v): i for i, v in enumerate(names)}
-        slots[One()] = len(names)
+        # variables by name and 1 by its class: keys that hash as fast as the
+        # compound keys' tuples
+        slots: dict = {v: i for i, v in enumerate(names)}
+        slots[One] = len(names)
         self.hyp_slots, self.concl_slots = (
             [(self._compile(lhs, slots), self._compile(rhs, slots)) for lhs, rhs in sides]
             for sides in (self.hyps, self.concl)
         )
         self.tail = min(len(names), 2)
         self.leading = len(names) - self.tail
-        shapes = [0] * self.leading + ([1, 2] if self.tail == 2 else [3] * self.tail) + [0]
-        self.steps = []
+        self.statement_order = tuple(range(len(names)))
+        self.order = self._cheapest_order()
+        self.steps = self._steps(self.order)
+
+    @cached_property
+    def statement_steps(self) -> list[tuple]:
+        return self.steps if self.order == self.statement_order else self._steps(self.statement_order)
+
+    def _cheapest_order(self) -> tuple[int, ...]:
+        """The arrangement whose binary steps cost least by `COSTS`.
+
+        A candidate is an ordered pair (a, b) of tail variables, the leading
+        ones kept in statement order.  Each slot's set of variables, bit v
+        for variable v, gives its shape in every candidate, so a candidate
+        is scored over the distinct operand pairs of the binary keys.
+        """
+        k = len(self.names)
+        if k < 2:
+            return self.statement_order
+        reads = [1 << v for v in range(k)] + [0]
+        pairs: dict[tuple[int, int], int] = {}
+        for op, i, arg in self.keys:
+            if op is Pow:
+                reads.append(reads[i])
+            else:
+                pair = reads[i], reads[arg]
+                reads.append(pair[0] | pair[1])
+                pairs[pair] = pairs.get(pair, 0) + 1
+        costs = self.COSTS
+
+        def cost(tail: tuple[int, int]) -> int:
+            a, b = tail
+            return sum(
+                count * costs[min(u >> a & 1 | (u >> b & 1) << 1, w >> a & 1 | (w >> b & 1) << 1)]
+                for (u, w), count in pairs.items()
+            )
+
+        written = (k - 2, k - 1)
+        tail = min(permutations(range(k), 2), key=lambda t: (cost(t), t != written))
+        if tail == written:
+            return self.statement_order
+        return (*(v for v in range(k) if v not in tail), *tail)
+
+    def _steps(self, order: tuple[int, ...]) -> list[tuple]:
+        """The steps of the keys with the variables arranged by `order`."""
+        shapes = [0] * (len(self.names) + 1)
+        for v, shape in zip(order[self.leading :], (1, 2) if self.tail == 2 else (3,)):
+            shapes[v] = shape
+        steps = []
         for op, i, arg in self.keys:
             if op is Pow:
                 shapes.append(shapes[i])
-                self.steps.append((_power, "power_table", arg, i, i))
+                steps.append((_power, "power_table", arg, i, i))
             else:
                 shapes.append(shapes[i] | shapes[arg])
-                self.steps.append(self._binary_step(self.TABLES[op], i, arg, shapes))
+                steps.append(self._binary_step(self.TABLES[op], i, arg, shapes))
+        return steps
 
     @staticmethod
     def _binary_step(attr: str, i: int, j: int, shapes: list[int]) -> tuple:
         """The kernel for ``table[slot i][slot j]``: the first operand whose
         shape allows one translation per block, run or stride comes first,
-        read through rows if it is slot i and through columns if slot j."""
+        read through rows if it is slot i and through columns if slot j.
+        A run operand whose partner varies only along strides translates
+        one run of the partner per run."""
         for kernel, shape in ((_by_constant, 0), (_by_runs, 1), (_by_strides, 2)):
-            if shapes[i] == shape:
-                return (kernel, attr, "rows", i, j)
-            if shapes[j] == shape:
-                return (kernel, attr, "cols", j, i)
+            for axis, first, other in (("rows", i, j), ("cols", j, i)):
+                if shapes[first] == shape:
+                    if shape == 1 and shapes[other] == 2:
+                        kernel = _by_runs_and_strides
+                    return (kernel, attr, axis, first, other)
         return (_pointwise, attr, "rows", i, j)
 
     def _compile(self, term: Term, slots: dict) -> int:
         """The slot of `term`; `slots` numbers the subterms seen so far."""
-        if isinstance(term, (Var, One)):
-            return slots[term]
-        if isinstance(term, RDiv):
-            operands = (term.right, term.left)
-        elif isinstance(term, (Mul, LDiv)):
-            operands = (term.left, term.right)
+        kind = type(term)
+        if kind is Var:
+            return slots[term.name]
+        if kind is One:
+            return slots[One]
+        if kind is Pow:
+            key = (Pow, self._compile(term.arg, slots), term.exponent)
+        elif kind is RDiv:
+            key = (RDiv, self._compile(term.right, slots), self._compile(term.left, slots))
         else:
-            operands = (term.arg,)
-        key = (type(term), *(self._compile(t, slots) for t in operands))
-        if isinstance(term, Pow):
-            key += (term.exponent,)
+            key = (kind, self._compile(term.left, slots), self._compile(term.right, slots))
         slot = slots.get(key)
         if slot is None:
             slot = slots[key] = len(slots)
@@ -760,26 +836,45 @@ def _columns(n: int, tail: int) -> tuple[bytes, ...]:
 
 
 class _Program:
-    """A statement's plan bound to one loop, evaluated a block at a time.
+    """A statement's plan bound to one loop in one arrangement, evaluated a
+    block at a time.
 
-    Binding only looks up the loop's translations for each step of the plan
-    and lays out the block's byte strings for the tail variables.  A block
-    is a `bytes` of length n^tail, one element per assignment; orders stop
-    at `MAX_ORDER` = 64, so no element reaches the marker `_MISSING`.
+    Binding looks up the loop's translations for each step and places the
+    blocks of the tail variables and of the constant 1 in their slots, so a
+    block only fills in the constant blocks of the leading variables.  A
+    block is a `bytes` of length n^tail, one element per assignment; orders
+    stop at `MAX_ORDER` = 64, so no element reaches the marker `_MISSING`.
     """
 
-    def __init__(self, L: LoopTable, plan: _Plan):
+    def __init__(self, L: LoopTable, plan: _Plan, order: tuple[int, ...], steps: list[tuple]):
         self.loop = L
         self.plan = plan
         self.steps = [
-            (kernel, _translations(L, attr, axis), i, j) for kernel, attr, axis, i, j in plan.steps
+            (kernel, _translations(L, attr, axis), i, j) for kernel, attr, axis, i, j in steps
         ]
         self.size = L.order**plan.tail
+        self.leading = order[: plan.leading]
         self.columns = _columns(L.order, plan.tail)
+        self.placed = [b""] * len(plan.names) + [bytes((L.identity,)) * self.size]
+        for v, column in zip(order[plan.leading :], self.columns):
+            self.placed[v] = column
+
+    def holds(self) -> bool:
+        """Whether no block fails or meets a missing inverse.
+
+        Which assignment fails first depends on the arrangement, so this
+        pass only says whether one does."""
+        try:
+            for prefix in product(self.loop.elements, repeat=self.plan.leading):
+                if self._block_failure(prefix) is not None:
+                    return False
+        except _Poison:
+            return False
+        return True
 
     def counterexample(self, prefix: tuple[int, ...]) -> tuple[int, ...] | None:
         """The first assignment extending `prefix` that falsifies the
-        statement, or None.
+        statement, or None; for a program in statement order.
 
         The whole block is evaluated at once.  Should that meet an element
         without an inverse, possibly where the tree walker would never look,
@@ -800,9 +895,9 @@ class _Program:
 
     def _block_failure(self, prefix: tuple[int, ...]) -> int | None:
         size, n = self.size, self.loop.order
-        vals = [bytes((v,)) * size for v in prefix]
-        vals += self.columns
-        vals.append(bytes((self.loop.identity,)) * size)
+        vals = self.placed.copy()
+        for v, x in zip(self.leading, prefix):
+            vals[v] = bytes((x,)) * size
         for kernel, tables, i, j in self.steps:
             vals.append(kernel(tables, vals[i], vals[j], n))
         concl = [(vals[l], vals[r]) for l, r in self.plan.concl_slots]
@@ -845,9 +940,13 @@ def evaluate(
     that every loop shares; each call binds that plan to `L`'s translation
     tables and evaluates it in blocks of assignments, each block a byte
     string that `bytes.translate` maps through those tables (orders stop at
-    `MAX_ORDER` = 64, so every element fits in a byte).  The outcome is the
-    tree walker's (`eval_term`): the same first counterexample, or the same
-    `InverseUnavailable`.
+    `MAX_ORDER` = 64, so every element fits in a byte).  The blocks follow
+    the plan's cheapest arrangement of the variables.  A statement that
+    holds has one answer in every arrangement, so when no block fails or
+    meets a missing inverse the answer is None.  Otherwise the statement is
+    replayed from the start in statement order, block by block, and the
+    outcome is the tree walker's (`eval_term`): the same first
+    counterexample, or the same `InverseUnavailable`.
     """
     names = stmt.variables
     if len(names) > max_vars:
@@ -868,7 +967,9 @@ def evaluate(
             stacklevel=2,
         )
     plan = stmt._plan
-    program = _Program(L, plan)
+    if plan.order != plan.statement_order and _Program(L, plan, plan.order, plan.steps).holds():
+        return None
+    program = _Program(L, plan, plan.statement_order, plan.statement_steps)
     for prefix in product(L.elements, repeat=plan.leading):
         combo = program.counterexample(prefix)
         if combo is not None:

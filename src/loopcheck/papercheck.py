@@ -11,6 +11,7 @@ import time
 from functools import lru_cache
 from itertools import permutations
 from random import Random
+from typing import Iterator
 
 from . import catalog as cat
 from ._record import field, record
@@ -26,6 +27,7 @@ from .halfiso import (
     scan_conjecture51,
     speciality_check,
     power_check,
+    surveys,
 )
 from .identities import builtin_library, evaluate
 from .perms import invert
@@ -59,6 +61,11 @@ class SuiteContext:
         if maps is None:
             maps = self.enumerated[(Q, R)] = tuple(enumerate_half_isos(Q, R))
         return maps
+
+    def map_surveys(self, Q: LoopTable, R: LoopTable) -> Iterator:
+        """The branch survey of each map of `half_isos(Q, R)`, all over one
+        `halfiso._Pair`; each per-map criterion surveys a pair once."""
+        return surveys(Q, R, self.half_isos(Q, R))
 
     def generated_entries(self) -> list[CatalogEntry]:
         return [e for n in sorted(self.generated) for e in self.generated[n]]
@@ -311,9 +318,9 @@ def criterion_6(ctx: SuiteContext) -> AnalysisReport:
     report = AnalysisReport()
     maps = 0
     for a, b in _suite_pairs(ctx):
-        for f in ctx.half_isos(a.loop, b.loop):
+        for s in ctx.map_surveys(a.loop, b.loop):
             maps += 1
-            speciality_check(f, report, (a.name, b.name))
+            speciality_check(s, report, (a.name, b.name))
     report.add("criteria-agreement-checked", anchor="prop27", maps=maps)
     return report
 
@@ -324,9 +331,9 @@ def criterion_7(ctx: SuiteContext) -> AnalysisReport:
     for a, b in _suite_pairs(ctx):
         if not (is_power_associative(a.loop) and is_power_associative(b.loop)):
             continue
-        for f in ctx.half_isos(a.loop, b.loop):
+        for s in ctx.map_surveys(a.loop, b.loop):
             maps += 1
-            power_check(f, report, (a.name, b.name))
+            power_check(s, report, (a.name, b.name))
     report.add("power-compatibility-checked", anchor="prop28", maps=maps)
     return report
 
@@ -449,7 +456,7 @@ def criterion_9(ctx: SuiteContext) -> AnalysisReport:
 
 def criterion_10(ctx: SuiteContext) -> AnalysisReport:
     pool = [(e.name, e.loop) for e in ctx.generated_entries() if e.automorphic]
-    return scan_conjecture51(pool, ctx.half_isos)
+    return scan_conjecture51(pool, ctx.map_surveys)
 
 
 CRITERIA = (

@@ -31,7 +31,7 @@ from loopcheck.identities import (
     term_to_text,
 )
 from loopcheck.table import LoopError, cyclic_group, is_associative, make_loop
-from test_identities import _compiled, _tree_walk
+from test_identities import _check_arranged_pass, _compiled, _tree_walk
 
 # Arbitrary text, and text over each format's own alphabet, which reaches
 # past the first token far more often.
@@ -175,9 +175,9 @@ def terms(names):
 
 @st.composite
 def statements(draw):
-    """A statement over at most three variables with at most one
+    """A statement over at most four variables with at most one
     hypothesis and at most two alternatives."""
-    names = ("x", "y", "z")[: draw(st.integers(1, 3))]
+    names = ("x", "y", "z", "w")[: draw(st.integers(1, 4))]
     equation = st.builds(
         lambda lhs, rhs: f"{term_to_text(lhs)} = {term_to_text(rhs)}", terms(names), terms(names)
     )
@@ -196,4 +196,6 @@ def test_random_statements_evaluate_as_the_tree_walker(data, stmt):
     pool = non_associative_pool()
     L = data.draw(st.one_of(st.just(pool[-1]), st.sampled_from(pool[:-1])))
     L = relabeled(data.draw, L)
-    assert _compiled(L, stmt) == _tree_walk(L, stmt)
+    want = _tree_walk(L, stmt)
+    assert _compiled(L, stmt) == want
+    _check_arranged_pass(L, stmt, want)

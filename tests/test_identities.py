@@ -32,6 +32,8 @@ from loopcheck.identities import (
     statement_to_text,
     term_to_text,
     _BUILTIN_TEXTS,
+    _Program,
+    _pointwise,
 )
 from loopcheck.catalog import builtin_loop, generate_loops
 from loopcheck.perms import compose, invert
@@ -344,14 +346,17 @@ ORACLE_TEXTS = (
     "x * y * z * w = w * (z * (y * x))",
     "1 = 1",
     "x^-1 = x",
-    # One entry per kernel.  The last two variables vary over a block, the
-    # first of them along runs and the second along strides; any before
-    # them are constant over it.
+    # One entry per kernel in statement order.  The last two variables vary
+    # over a block, the first of them along runs and the second along
+    # strides; any before them are constant over it.
     "x * y * z = z * (y * x)",  # constant operands, left and right
-    "x * y = y * x * (x * 1)",  # run operands, left and right
+    "x * y = y * x * (x * 1)",  # run operands, left and right, against both
     "x * y * y = y * (x * y)",  # stride operands, left and right
     "x * y * (y * x) = y * x * (x * y)",  # no operand constant along anything
     r"(x * y) \ (z * w) = w / (y * x) * z | z = w",  # leading variables feed constants
+    # Strides on both sides in the cheapest arrangement too: swapping x and
+    # y would turn the three products of powers of x into strides.
+    "x * x^2 * (x^2 * x) * (y * y^2) = x * y * y^2",
 )
 
 
@@ -368,19 +373,51 @@ def test_compiled_evaluate_matches_tree_walker(catalog5, star, dot, s3):
             for stmt in statements:
                 want = _tree_walk(L, stmt)
                 assert _compiled(L, stmt) == want, (L.name, statement_to_text(stmt))
+                _check_arranged_pass(L, stmt, want)
                 seen.add(want if isinstance(want, str) else type(want).__name__)
-    assert seen == {"holds", "dict", "tuple"}  # every kind of outcome occurs
-    # every kernel runs, on each axis it can read
-    kernels = {
-        (kernel.__name__, axis if kernel.__name__ != "_power" else None)
-        for stmt in oracle
-        for kernel, _, axis, _, _ in stmt._plan.steps
-    }
-    sided = ("_by_constant", "_by_runs", "_by_strides")
-    assert kernels == {(name, axis) for name in sided for axis in ("rows", "cols")} | {
+                plan = stmt._plan
+                if plan.order != plan.statement_order:
+                    seen.add(("arranged", want if isinstance(want, str) else type(want).__name__))
+    # every kind of outcome occurs, and each also after a rearranged pass
+    kinds = {"holds", "dict", "tuple"}
+    assert seen == kinds | {("arranged", kind) for kind in kinds}
+    # every kernel runs, on each axis it can read, in the cheapest
+    # arrangements and in statement order alike
+    sided = ("_by_constant", "_by_runs", "_by_runs_and_strides", "_by_strides")
+    every = {(name, axis) for name in sided for axis in ("rows", "cols")} | {
         ("_pointwise", "rows"),
         ("_power", None),
     }
+    for attr in ("steps", "statement_steps"):
+        kernels = {
+            (kernel.__name__, axis if kernel.__name__ != "_power" else None)
+            for stmt in oracle
+            for kernel, _, axis, _, _ in getattr(stmt._plan, attr)
+        }
+        assert kernels == every, attr
+
+
+def _check_arranged_pass(L, stmt, want):
+    """The cheapest arrangement alone, without the replay, against the tree
+    walker's outcome `want`: it must see a failure wherever there is a
+    counterexample, and none where the statement holds and every element
+    has an inverse (only a missing inverse may stop it there)."""
+    plan = stmt._plan
+    passed = _Program(L, plan, plan.order, plan.steps).holds()
+    if isinstance(want, dict):
+        assert not passed, (L.name, statement_to_text(stmt))
+    elif want == "holds" and -1 not in L.inverse_table:
+        assert passed, (L.name, statement_to_text(stmt))
+
+
+def test_cheapest_arrangement_drops_the_pointwise_steps_of_lemma34():
+    # In statement order both take a lookup per assignment; putting z first
+    # makes every step of theirs a translation per block or per run.
+    lib = {s.name: s for s in builtin_library()}
+    for name in ("lemma34_c", "lemma34_d"):
+        plan = lib[name]._plan
+        assert _pointwise in {kernel for kernel, *_ in plan.statement_steps}, name
+        assert _pointwise not in {kernel for kernel, *_ in plan.steps}, name
 
 
 def test_deep_nesting_is_a_parse_error():
