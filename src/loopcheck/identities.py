@@ -37,6 +37,7 @@ from .table import (
     NotAutomorphicWarning,
     _MISSING,
     _translations,
+    per_loop,
 )
 
 MAX_EXPONENT = 16
@@ -50,6 +51,10 @@ MAX_NESTING = 100
 # for billions of nodes.  The largest builtin statement has 25 nodes.
 MAX_TERM_SIZE = 10_000
 DEFAULT_VARIABLE_CAP = 4
+# Most bytes of subterm blocks one loop's memo keeps: 256 blocks of n^2
+# assignments at order 64, and every distinct block of the builtin corpus
+# at order 32.  Blocks past it are computed but not kept.
+MEMO_BYTES = 1 << 20
 
 
 class ParseError(LoopError):
@@ -692,24 +697,36 @@ class _Plan:
     variable counts as both).  So a shape-0 slot is constant over the block,
     a shape-1 slot along each run of n assignments, and a shape-2 slot along
     each stride-n slice.  Steps turn the keys into kernels chosen by those
-    shapes: ``(kernel, attr, axis, i, j)`` computes a slot from slots i and
-    j through the translations ``_translations(L, attr, axis)``, so binding
-    a plan to a loop only looks tables up.
+    shapes: ``(block, kernel, table, attr, axis, i, j)`` computes a slot
+    from slots i and j through the translations
+    ``_translations(L, attr, axis)``, which the loop's memo keeps under the
+    name `table`, so binding a plan to a loop only looks tables up.
 
-    The arrangement decides the kernels, so `order` is the one of least
-    estimated cost, scored from the shapes alone with `COSTS` (statement
-    order wins a tie), and `steps` are its steps.  `statement_steps` are the
-    steps of `statement_order`, with the last two variables in the tail in
-    the order they are written; the replay of a failing statement builds
-    them on first use.
+    A slot that reads no leading variable holds the same values in every
+    block, and in every statement that computes the same subterm in the
+    same tail positions.  Its `block` names those values in the loop's
+    memo: the tail size, then the subterm with the tail variables named
+    ``a`` and ``b`` by position, as in ``2M(P(a,-1),M(a,b))``.  A slot that
+    reads a leading variable has none.
+
+    The arrangement decides the kernels and which slots repeat per block,
+    so `order` is the one of least estimated cost, scored from the variables
+    each slot reads (statement order wins a tie), and `steps` are its steps.
+    `statement_steps` are the steps of `statement_order`, with the last two
+    variables in the tail in the order they are written; the replay of a
+    failing statement builds them on first use.
     """
 
     TABLES = {Mul: "table", LDiv: "ldiv_table", RDiv: "rdiv_table"}
+    LETTERS = {Mul: "M", LDiv: "L", RDiv: "R"}
     # The relative cost at n = 32 of a binary step by the least shape of its
     # operands, 0, 1, 2 or 3: one translation per block, one per run, one
     # per stride, one lookup per assignment.  A power step is one
-    # translation in every arrangement, so it takes no part.
+    # translation, as a step with a constant operand is.  A step that reads
+    # a leading variable runs once per block, n = 32 times as often as one
+    # computed once per loop.
     COSTS = (1, 8, 14, 60)
+    PER_BLOCK = 32
 
     def __init__(self, stmt: IdentityStatement):
         self.names = names = stmt.variables
@@ -738,12 +755,13 @@ class _Plan:
         return self.steps if self.order == self.statement_order else self._steps(self.statement_order)
 
     def _cheapest_order(self) -> tuple[int, ...]:
-        """The arrangement whose binary steps cost least by `COSTS`.
+        """The arrangement whose steps cost least by `COSTS` and `PER_BLOCK`.
 
         A candidate is an ordered pair (a, b) of tail variables, the leading
         ones kept in statement order.  Each slot's set of variables, bit v
-        for variable v, gives its shape in every candidate, so a candidate
-        is scored over the distinct operand pairs of the binary keys.
+        for variable v, gives its shape and whether it reads a leading
+        variable in every candidate, so a candidate is scored over the
+        distinct operand pairs of the keys.
         """
         k = len(self.names)
         if k < 2:
@@ -751,18 +769,19 @@ class _Plan:
         reads = [1 << v for v in range(k)] + [0]
         pairs: dict[tuple[int, int], int] = {}
         for op, i, arg in self.keys:
-            if op is Pow:
-                reads.append(reads[i])
-            else:
-                pair = reads[i], reads[arg]
-                reads.append(pair[0] | pair[1])
-                pairs[pair] = pairs.get(pair, 0) + 1
-        costs = self.COSTS
+            # a power step costs what a step with a constant operand costs
+            pair = (0, reads[i]) if op is Pow else (reads[i], reads[arg])
+            reads.append(pair[0] | pair[1])
+            pairs[pair] = pairs.get(pair, 0) + 1
+        costs, per_block, every = self.COSTS, self.PER_BLOCK, (1 << k) - 1
 
         def cost(tail: tuple[int, int]) -> int:
             a, b = tail
+            leading = every ^ 1 << a ^ 1 << b
             return sum(
-                count * costs[min(u >> a & 1 | (u >> b & 1) << 1, w >> a & 1 | (w >> b & 1) << 1)]
+                count
+                * costs[min(u >> a & 1 | (u >> b & 1) << 1, w >> a & 1 | (w >> b & 1) << 1)]
+                * (per_block if (u | w) & leading else 1)
                 for (u, w), count in pairs.items()
             )
 
@@ -775,16 +794,25 @@ class _Plan:
     def _steps(self, order: tuple[int, ...]) -> list[tuple]:
         """The steps of the keys with the variables arranged by `order`."""
         shapes = [0] * (len(self.names) + 1)
-        for v, shape in zip(order[self.leading :], (1, 2) if self.tail == 2 else (3,)):
+        # each slot's subterm over the tail positions; None if it reads a
+        # leading variable
+        terms: list[str | None] = [None] * len(self.names) + ["1"]
+        for v, shape, name in zip(order[self.leading :], (1, 2) if self.tail == 2 else (3,), "ab"):
             shapes[v] = shape
+            terms[v] = name
         steps = []
         for op, i, arg in self.keys:
             if op is Pow:
                 shapes.append(shapes[i])
-                steps.append((_power, "power_table", arg, i, i))
+                term = terms[i] and f"P({terms[i]},{arg})"
+                kernel, attr, axis, first, other = _power, "power_table", arg, i, i
             else:
                 shapes.append(shapes[i] | shapes[arg])
-                steps.append(self._binary_step(self.TABLES[op], i, arg, shapes))
+                term = terms[i] and terms[arg] and f"{self.LETTERS[op]}({terms[i]},{terms[arg]})"
+                kernel, attr, axis, first, other = self._binary_step(self.TABLES[op], i, arg, shapes)
+            terms.append(term)
+            block = term and f"{self.tail}{term}"
+            steps.append((block, kernel, f"{attr} {axis}", attr, axis, first, other))
         return steps
 
     @staticmethod
@@ -835,29 +863,68 @@ def _columns(n: int, tail: int) -> tuple[bytes, ...]:
     )
 
 
+class _Memo(dict):
+    """One loop's translation tables and subterm blocks, by the names plan
+    steps give them.  Blocks are kept while their bytes fit in
+    `MEMO_BYTES`; a block that meets a missing inverse is never finished,
+    so never kept."""
+
+    def __init__(self):
+        super().__init__()
+        self.room = MEMO_BYTES
+
+
+@per_loop
+def _memo(L: LoopTable) -> _Memo:
+    return _Memo()
+
+
 class _Program:
     """A statement's plan bound to one loop in one arrangement, evaluated a
     block at a time.
 
-    Binding looks up the loop's translations for each step and places the
-    blocks of the tail variables and of the constant 1 in their slots, so a
-    block only fills in the constant blocks of the leading variables.  A
-    block is a `bytes` of length n^tail, one element per assignment; orders
-    stop at `MAX_ORDER` = 64, so no element reaches the marker `_MISSING`.
+    Binding places the blocks of the tail variables and of the constant 1,
+    and of every slot that reads no leading variable, from the loop's memo
+    or computed and kept there; it looks up the loop's translations for the
+    other steps, so a block only fills in the leading variables' constant
+    blocks and the slots that read them.  Should a placed slot meet an
+    element without an inverse, so does every block.  A block is a `bytes`
+    of length n^tail, one element per assignment; orders stop at
+    `MAX_ORDER` = 64, so no element reaches the marker `_MISSING`.
     """
 
     def __init__(self, L: LoopTable, plan: _Plan, order: tuple[int, ...], steps: list[tuple]):
         self.loop = L
         self.plan = plan
-        self.steps = [
-            (kernel, _translations(L, attr, axis), i, j) for kernel, attr, axis, i, j in steps
-        ]
-        self.size = L.order**plan.tail
+        n = L.order
+        self.size = n**plan.tail
         self.leading = order[: plan.leading]
-        self.columns = _columns(L.order, plan.tail)
-        self.placed = [b""] * len(plan.names) + [bytes((L.identity,)) * self.size]
+        self.columns = _columns(n, plan.tail)
+        self.steps: list[tuple] = []  # (slot, kernel, tables, i, j) per block
+        self.poisoned = False
+        placed = [b""] * len(plan.names) + [bytes((L.identity,)) * self.size]
         for v, column in zip(order[plan.leading :], self.columns):
-            self.placed[v] = column
+            placed[v] = column
+        memo = _memo(L)
+        for block, kernel, table, attr, axis, i, j in steps:
+            values = memo.get(block)
+            if values is None:
+                tables = memo.get(table)
+                if tables is None:
+                    tables = memo[table] = _translations(L, attr, axis)
+                if block is None:
+                    self.steps.append((len(placed), kernel, tables, i, j))
+                else:
+                    try:
+                        values = kernel(tables, placed[i], placed[j], n)
+                    except _Poison:
+                        self.poisoned = True
+                        break
+                    if len(values) <= memo.room:
+                        memo[block] = values
+                        memo.room -= len(values)
+            placed.append(values)
+        self.placed = placed
 
     def holds(self) -> bool:
         """Whether no block fails or meets a missing inverse.
@@ -894,12 +961,14 @@ class _Program:
         return (*prefix, *(col[i] for col in self.columns))
 
     def _block_failure(self, prefix: tuple[int, ...]) -> int | None:
+        if self.poisoned:
+            raise _Poison
         size, n = self.size, self.loop.order
         vals = self.placed.copy()
         for v, x in zip(self.leading, prefix):
             vals[v] = bytes((x,)) * size
-        for kernel, tables, i, j in self.steps:
-            vals.append(kernel(tables, vals[i], vals[j], n))
+        for slot, kernel, tables, i, j in self.steps:
+            vals[slot] = kernel(tables, vals[i], vals[j], n)
         concl = [(vals[l], vals[r]) for l, r in self.plan.concl_slots]
         if any(lhs == rhs for lhs, rhs in concl):
             return None
@@ -941,7 +1010,10 @@ def evaluate(
     tables and evaluates it in blocks of assignments, each block a byte
     string that `bytes.translate` maps through those tables (orders stop at
     `MAX_ORDER` = 64, so every element fits in a byte).  The blocks follow
-    the plan's cheapest arrangement of the variables.  A statement that
+    the plan's cheapest arrangement of the variables.  The block of a
+    subterm that reads only the variables varying within a block is
+    computed once per loop and kept on it, up to `MEMO_BYTES`, for every
+    block and every statement after.  A statement that
     holds has one answer in every arrangement, so when no block fails or
     meets a missing inverse the answer is None.  Otherwise the statement is
     replayed from the start in statement order, block by block, and the

@@ -28,10 +28,22 @@ from loopcheck.identities import (
     Var,
     parse_identity,
     parse_identity_file,
+    statement_to_text,
     term_to_text,
 )
 from loopcheck.table import LoopError, cyclic_group, is_associative, make_loop
 from test_identities import _check_arranged_pass, _compiled, _tree_walk
+
+
+def renamed(term, names):
+    """`term` with each variable v replaced by the variable ``names[v]``."""
+    if isinstance(term, Var):
+        return Var(names[term.name])
+    if isinstance(term, Pow):
+        return Pow(renamed(term.arg, names), term.exponent)
+    if isinstance(term, (Mul, LDiv, RDiv)):
+        return type(term)(renamed(term.left, names), renamed(term.right, names))
+    return term
 
 # Arbitrary text, and text over each format's own alphabet, which reaches
 # past the first token far more often.
@@ -199,3 +211,41 @@ def test_random_statements_evaluate_as_the_tree_walker(data, stmt):
     want = _tree_walk(L, stmt)
     assert _compiled(L, stmt) == want
     _check_arranged_pass(L, stmt, want)
+
+
+@st.composite
+def sharing_statements(draw):
+    """Statements of one to three variables built from a few shared
+    subterms, each under its own renaming: the same subterm recurs with its
+    variables swapped, merged or moved between the leading and the tail."""
+    names = ("x", "y", "z")
+    pool = draw(st.lists(terms(names), min_size=1, max_size=3))
+    side = st.one_of(
+        st.sampled_from(pool),
+        st.builds(Mul, st.sampled_from(pool), st.sampled_from(pool)),
+        st.builds(Pow, st.sampled_from(pool), st.sampled_from([-1, 2])),
+    )
+    out = []
+    for _ in range(draw(st.integers(2, 6))):
+        renaming = dict(zip(names, draw(st.lists(st.sampled_from(names), min_size=3, max_size=3))))
+        lhs, rhs = (renamed(draw(side), renaming) for _ in "lr")
+        text = f"{term_to_text(lhs)} = {term_to_text(rhs)}"
+        if draw(st.booleans()):
+            hyp = renamed(draw(side), renaming)
+            text = f"{term_to_text(hyp)} = {term_to_text(lhs)} => {text}"
+        out.append(parse_identity(text))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), sharing_statements())
+def test_blocks_kept_per_loop_answer_as_a_cold_loop(data, statements):
+    # One loop's memo serves every statement in turn; each outcome must be
+    # the one a fresh copy of the loop, with an empty memo, gives, and the
+    # tree walker's.
+    pool = non_associative_pool()
+    L = relabeled(data.draw, data.draw(st.one_of(st.just(pool[-1]), st.sampled_from(pool[:-1]))))
+    for stmt in statements:
+        got = _compiled(L, stmt)
+        want = _tree_walk(L, stmt)
+        assert got == _compiled(make_loop(L.table), stmt) == want, statement_to_text(stmt)

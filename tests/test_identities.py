@@ -1,4 +1,6 @@
+import hashlib
 import warnings
+from collections import Counter
 from dataclasses import FrozenInstanceError
 from itertools import product
 
@@ -33,11 +35,13 @@ from loopcheck.identities import (
     term_to_text,
     _BUILTIN_TEXTS,
     _Program,
+    _memo,
     _pointwise,
 )
+from loopcheck import identities
 from loopcheck.catalog import builtin_loop, generate_loops
 from loopcheck.perms import compose, invert
-from loopcheck.table import NotAutomorphicWarning, cyclic_group
+from loopcheck.table import NotAutomorphicWarning, cyclic_group, make_loop
 
 
 def test_parse_aaip():
@@ -392,7 +396,7 @@ def test_compiled_evaluate_matches_tree_walker(catalog5, star, dot, s3):
         kernels = {
             (kernel.__name__, axis if kernel.__name__ != "_power" else None)
             for stmt in oracle
-            for kernel, _, axis, _, _ in getattr(stmt._plan, attr)
+            for _, kernel, _, _, axis, _, _ in getattr(stmt._plan, attr)
         }
         assert kernels == every, attr
 
@@ -416,8 +420,92 @@ def test_cheapest_arrangement_drops_the_pointwise_steps_of_lemma34():
     lib = {s.name: s for s in builtin_library()}
     for name in ("lemma34_c", "lemma34_d"):
         plan = lib[name]._plan
-        assert _pointwise in {kernel for kernel, *_ in plan.statement_steps}, name
-        assert _pointwise not in {kernel for kernel, *_ in plan.steps}, name
+        assert _pointwise in {kernel for _, kernel, *_ in plan.statement_steps}, name
+        assert _pointwise not in {kernel for _, kernel, *_ in plan.steps}, name
+
+
+def test_cheapest_arrangement_of_lemma34_c_scores_the_steps_per_block():
+    # A step that reads the leading variable runs once per block.  So
+    # lemma34_c puts y first and the tail (z, x): x * z is computed once per
+    # loop, and the eight steps that read y each translate once per block or
+    # per run, against the six steps in statement order, one of them a
+    # lookup per assignment.
+    plan = {s.name: s for s in builtin_library()}["lemma34_c"]._plan
+    assert plan.order == (1, 2, 0)
+    assert [block for block, *_ in plan.steps] == [None] * 4 + ["2M(b,a)"] + [None] * 4
+
+
+def _blocks(L):
+    """The subterm blocks in `L`'s memo, by name; the other entries are
+    translation tables."""
+    return {k: v for k, v in _memo(L).items() if k[0].isdigit()}
+
+
+def test_blocks_are_named_by_tail_size_and_tail_position():
+    x_first, y_first = (parse_identity(t) for t in ("x * y^-1 = y^-1 * x", "y^-1 * x = x * y^-1"))
+    single = parse_identity("x^-1 = x^-1 * 1")
+    three = parse_identity("z * (x * y^-1) = z * (y^-1 * x)")
+    # the same subterms in swapped tail positions, a single-variable tail,
+    # and a leading variable z that the hoisted slots do not read
+    assert [b for b, *_ in x_first._plan.steps] == ["2P(b,-1)", "2M(a,P(b,-1))", "2M(P(b,-1),a)"]
+    assert [b for b, *_ in y_first._plan.steps] == ["2P(a,-1)", "2M(P(a,-1),b)", "2M(b,P(a,-1))"]
+    assert [b for b, *_ in single._plan.steps] == ["1P(a,-1)", "1M(P(a,-1),1)"]
+    assert three._plan.order == three._plan.statement_order
+    assert [b for b, *_ in three._plan.steps] == [
+        "2P(b,-1)", "2M(a,P(b,-1))", None, "2M(P(b,-1),a)", None
+    ]
+    L = make_loop(cyclic_group(5).table)
+    for stmt in (x_first, y_first, single, three):
+        assert evaluate(L, stmt) is None
+    blocks = _blocks(L)
+    assert sorted(blocks) == sorted(
+        {"2P(a,-1)", "2P(b,-1)", "2M(a,P(b,-1))", "2M(P(b,-1),a)", "2M(P(a,-1),b)",
+         "2M(b,P(a,-1))", "1P(a,-1)", "1M(P(a,-1),1)"}
+    )
+    assert blocks["1P(a,-1)"] == bytes((-a) % 5 for a in range(5))
+
+
+def test_memo_keeps_blocks_within_its_cap(monkeypatch):
+    statements = builtin_library()
+    c4xc8 = builtin_loop("c4xc8").table
+    L = make_loop(c4xc8)
+    for stmt in statements:
+        evaluate(L, stmt, automorphic=True)
+    uncapped = sum(map(len, _blocks(L).values()))
+    cap = 5 * 32 * 32  # five order-32 blocks
+    assert uncapped > 10 * cap
+    monkeypatch.setattr(identities, "MEMO_BYTES", cap)
+    L = make_loop(c4xc8)
+    stored, names = [], []
+    for stmt in statements:
+        assert evaluate(L, stmt, automorphic=True) is None
+        blocks = _blocks(L)
+        stored.append(sum(map(len, blocks.values())))
+        names.append(set(blocks))
+    assert max(stored) == cap
+    full = stored.index(cap)
+    assert full < 10
+    # once full, the memo stops growing: no block is added or replaced
+    assert names[full] == names[-1] and len(names[-1]) == 5
+
+
+def test_identity_outcomes_digest():
+    # Every builtin on the 51 smallest catalog loops, each outcome as its
+    # repr or the element without an inverse; the digest was taken from the
+    # evaluator before blocks were kept per loop.
+    loops = [e.loop for n in range(1, 6) for e in generate_loops(n)]
+    loops += [e.loop for e in generate_loops(6)[:40]]
+    outcomes = []
+    for L in loops:
+        for stmt in builtin_library():
+            try:
+                outcomes.append(repr(evaluate(L, stmt, automorphic=True)))
+            except InverseUnavailable as err:
+                outcomes.append(f"inv{err.element}")
+    kinds = Counter("holds" if o == "None" else o[:3] for o in outcomes)
+    assert (len(loops), kinds) == (51, {"holds": 2323, "Cou": 1263, "inv": 1565})
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "18387252f7d7c4441cbcdfbd3f70e501c7c3646197009afeec8aa1d99ef2b6ca"
 
 
 def test_deep_nesting_is_a_parse_error():

@@ -5,7 +5,9 @@ from hypothesis import given, strategies as st
 
 from loopcheck.catalog import builtin_loops, generate_loops
 from loopcheck.table import (
+    MAX_ORDER,
     LoopError,
+    LoopTable,
     NoIdentity,
     NoTwoSidedInverse,
     NotLatinSquare,
@@ -63,6 +65,69 @@ def test_make_loop_rejects_bad_entries():
         make_loop([[0, 1], [1]])
     with pytest.raises(LoopError):
         make_loop([])
+
+
+def _make_loop_oracle(matrix):
+    """`make_loop` as it was before its checks ran whole rows in C: every
+    entry, row and column checked one at a time."""
+    rows = tuple(tuple(int(v) for v in row) for row in matrix)
+    n = len(rows)
+    if n < 1:
+        raise LoopError("a loop needs at least one element")
+    if n > MAX_ORDER:
+        raise OrderTooLarge(f"order {n} exceeds the cap of {MAX_ORDER}")
+    full = frozenset(range(n))
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise LoopError(f"row {i} has {len(row)} entries, expected {n}")
+        if not all(0 <= v < n for v in row):
+            raise LoopError(f"row {i} contains entries outside 0..{n - 1}")
+        if frozenset(row) != full:
+            raise NotLatinSquare("row", i)
+    for j in range(n):
+        if frozenset(row[j] for row in rows) != full:
+            raise NotLatinSquare("column", j)
+    id_row = tuple(range(n))
+    for e in range(n):
+        if rows[e] == id_row and all(rows[a][e] == a for a in range(n)):
+            return LoopTable(order=n, table=rows, identity=e)
+    raise NoIdentity("no element acts as a two-sided identity")
+
+
+C3_OFF_ZERO = [[1, 2, 0], [2, 0, 1], [0, 1, 2]]  # identity 2
+MALFORMED = {
+    "empty": [],
+    "short row": [[0, 1, 2], [1, 2], [2, 0, 1]],
+    "long row": [[0, 1], [1, 0, 1]],
+    "empty row": [[0, 1], []],
+    "entry too large": [[0, 1], [1, 7]],
+    "negative entry": [[0, 1, 2], [1, 2, 0], [2, -1, 1]],
+    "entry out of range in a later row only": [[0, 1, 2], [1, 2, 0], [2, 0, 3]],
+    "repeated entry in a row": [[0, 0], [1, 1]],
+    "repeated entry in a later row": [[0, 1, 2], [1, 2, 0], [2, 2, 1]],
+    "repeated entry in a column": [[0, 1, 2], [0, 2, 1], [2, 1, 0]],
+    "repeated entry in the last column": [[0, 1, 2], [1, 2, 0], [2, 0, 0]],
+    "a row and a column at fault": [[0, 1, 1], [1, 0, 2], [1, 2, 0]],
+    "identity row without its column": [[0, 1, 2], [2, 0, 1], [1, 2, 0]],
+    "identity column without its row": [[0, 2, 1], [1, 0, 2], [2, 1, 0]],
+    "identity not element 0": C3_OFF_ZERO,
+    "identity last at order 8": [[(a + b + 1) % 8 for b in range(8)] for a in range(8)],
+    "non-integer entries": [["0", 1.0], [True, 0]],
+    "order 1": [[0]],
+    "order 65": [[(a + b) % 65 for b in range(65)] for a in range(65)],
+}
+
+
+@pytest.mark.parametrize("matrix", MALFORMED.values(), ids=MALFORMED)
+def test_make_loop_matches_the_cell_by_cell_oracle(matrix):
+    def outcome(build):
+        try:
+            L = build(matrix)
+        except LoopError as err:
+            return type(err), str(err), getattr(err, "axis", None), getattr(err, "index", None)
+        return L, L.identity, L.table
+
+    assert outcome(make_loop) == outcome(_make_loop_oracle)
 
 
 def test_order_cap():
