@@ -723,8 +723,8 @@ class _Plan:
     # operands, 0, 1, 2 or 3: one translation per block, one per run, one
     # per stride, one lookup per assignment.  A power step is one
     # translation, as a step with a constant operand is.  A step that reads
-    # a leading variable runs once per block, n = 32 times as often as one
-    # computed once per loop.
+    # a leading variable runs once per block, n ** leading times as often as
+    # one computed once per loop, n = 32 per leading variable.
     COSTS = (1, 8, 14, 60)
     PER_BLOCK = 32
 
@@ -773,7 +773,7 @@ class _Plan:
             pair = (0, reads[i]) if op is Pow else (reads[i], reads[arg])
             reads.append(pair[0] | pair[1])
             pairs[pair] = pairs.get(pair, 0) + 1
-        costs, per_block, every = self.COSTS, self.PER_BLOCK, (1 << k) - 1
+        costs, per_block, every = self.COSTS, self.PER_BLOCK**self.leading, (1 << k) - 1
 
         def cost(tail: tuple[int, int]) -> int:
             a, b = tail

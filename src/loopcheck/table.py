@@ -311,9 +311,9 @@ def make_loop(matrix, name: str | None = None) -> LoopTable:
     `NoIdentity` when no element is a two-sided identity.  The identity is
     auto-detected; it need not be element 0.
 
-    Each row and column is checked whole, in C: n entries of which n are
-    distinct and all lie in 0..n-1.  Only an invalid table is walked row by
-    row, to name the first row or column at fault.
+    Each row and column is compared whole with the set of the n elements,
+    in C; only a row that differs is scanned for entries out of range, so
+    the first fault is named as before.
     """
     rows = tuple(tuple(map(int, row)) for row in matrix)
     n = len(rows)
@@ -321,38 +321,23 @@ def make_loop(matrix, name: str | None = None) -> LoopTable:
         raise LoopError("a loop needs at least one element")
     if n > MAX_ORDER:
         raise OrderTooLarge(f"order {n} exceeds the cap of {MAX_ORDER}")
-    valid = (
-        set(map(len, rows)) == {n}
-        and min(map(min, rows)) >= 0
-        and max(map(max, rows)) < n
-        and set(map(len, map(set, rows))) == {n}
-        and set(map(len, map(set, zip(*rows)))) == {n}
-    )
-    if not valid:
-        _check_row_by_row(rows)
+    full = frozenset(range(n))
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise LoopError(f"row {i} has {len(row)} entries, expected {n}")
+        if frozenset(row) != full:
+            if not all(0 <= v < n for v in row):
+                raise LoopError(f"row {i} contains entries outside 0..{n - 1}")
+            raise NotLatinSquare("row", i)
+    for j, col in enumerate(zip(*rows)):
+        if frozenset(col) != full:
+            raise NotLatinSquare("column", j)
     # a Latin square has at most one row equal to the identity's
     id_row = tuple(range(n))
     identity = rows.index(id_row) if id_row in rows else -1
     if identity < 0 or tuple(map(itemgetter(identity), rows)) != id_row:
         raise NoIdentity("no element acts as a two-sided identity")
     return LoopTable(order=n, table=rows, identity=identity, name=name)
-
-
-def _check_row_by_row(rows: tuple[tuple[int, ...], ...]) -> None:
-    """Raise the error of the first row, then the first column, of `rows`
-    that is not a permutation of the n elements."""
-    n = len(rows)
-    full = frozenset(range(n))
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise LoopError(f"row {i} has {len(row)} entries, expected {n}")
-        if not all(0 <= v < n for v in row):
-            raise LoopError(f"row {i} contains entries outside 0..{n - 1}")
-        if frozenset(row) != full:
-            raise NotLatinSquare("row", i)
-    for j in range(n):
-        if frozenset(row[j] for row in rows) != full:
-            raise NotLatinSquare("column", j)
 
 
 def squaring_map(L: LoopTable) -> tuple[int, ...]:

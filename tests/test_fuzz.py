@@ -237,14 +237,27 @@ def sharing_statements(draw):
     return out
 
 
+@st.composite
+def pooled_loops(draw):
+    """A relabeled loop of `non_associative_pool`, the dot table half the
+    time."""
+    pool = non_associative_pool()
+    return relabeled(draw, draw(st.one_of(st.just(pool[-1]), st.sampled_from(pool[:-1]))))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.data(), sharing_statements())
-def test_blocks_kept_per_loop_answer_as_a_cold_loop(data, statements):
+@given(pooled_loops(), sharing_statements())
+# one product under both orders of the tail on a non-commutative loop: a
+# block named by variable instead of by tail position would be read back
+# transposed, and commutativity would seem to hold
+@example(
+    generate_loops(5)[0].loop,
+    [parse_identity("x * y = x * y"), parse_identity("y * x = x * y")],
+)
+def test_blocks_kept_per_loop_answer_as_a_cold_loop(L, statements):
     # One loop's memo serves every statement in turn; each outcome must be
     # the one a fresh copy of the loop, with an empty memo, gives, and the
     # tree walker's.
-    pool = non_associative_pool()
-    L = relabeled(data.draw, data.draw(st.one_of(st.just(pool[-1]), st.sampled_from(pool[:-1]))))
     for stmt in statements:
         got = _compiled(L, stmt)
         want = _tree_walk(L, stmt)
