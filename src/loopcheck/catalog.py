@@ -72,15 +72,17 @@ def make_entry(name: str, L: LoopTable) -> CatalogEntry:
     )
 
 
-def entry_passes(entry: CatalogEntry, filters) -> bool:
-    """Whether the entry's flag is set for every filter; a filter's flag is
-    the field named as the filter with ``-`` spelled ``_``."""
+def _check_filters(filters) -> None:
     for f in filters:
         if f not in KNOWN_FILTERS:
             raise LoopError(f"unknown filter {f!r}; known: {', '.join(KNOWN_FILTERS)}")
-        if not getattr(entry, f.replace("-", "_")):
-            return False
-    return True
+
+
+def entry_passes(entry: CatalogEntry, filters) -> bool:
+    """Whether the entry's flag is set for every filter; a filter's flag is
+    the field named as the filter with ``-`` spelled ``_``."""
+    _check_filters(filters)
+    return all(getattr(entry, f.replace("-", "_")) for f in filters)
 
 
 # ---------------------------------------------------------------------------
@@ -298,34 +300,47 @@ def _row1_orders(
     return orders
 
 
+def _row1_relabelings(
+    table: tuple[tuple[int, ...], ...], identity: int
+) -> tuple[list[bytes], list[tuple[bytes, bytes]]]:
+    """The table's rows as `bytes.translate` tables, and each `_row1_orders`
+    order as a byte string with its relabeling sigma as a translate table
+    (old element -> new label), for `_relabeled_row`."""
+    n = len(table)
+    rows = [bytes(row) + bytes(256 - n) for row in table]
+    labels = bytes(range(n))
+    return rows, [
+        (order, bytes.maketrans(order, labels))
+        for order in map(bytes, _row1_orders(table, identity))
+    ]
+
+
+def _relabeled_row(rows: list[bytes], order: bytes, sigma: bytes, x: int) -> bytes:
+    """Row sigma(x) of the table relabeled by order: two C calls, the order
+    through the table row of x, then through sigma."""
+    return order.translate(rows[x]).translate(sigma)
+
+
 def _canonical_rows(
     table: tuple[tuple[int, ...], ...], identity: int
 ) -> tuple[tuple[int, ...], ...]:
     """Lexicographically least relabeled table over all relabelings that send
     the identity to label 0, found among the `_row1_orders`.
 
-    Each candidate order is a byte string with its relabeling sigma as a
-    `bytes.translate` table, so row k of its relabeled table is two C calls:
-    the order through the table row of order[k], then through sigma.  Rows 0
-    and 1 agree across candidates; from row 2 on, only the candidates whose
-    row is least stay, and once one is left its table is built directly.
+    Rows 0 and 1 agree across the candidates (`_row1_relabelings`); from
+    row 2 on, only the candidates whose row is least stay, and once one is
+    left its table is built directly.
     """
-    n = len(table)
-    rows = [bytes(row) + bytes(256 - n) for row in table]
-    labels = bytes(range(n))
-    candidates = [
-        (order, bytes.maketrans(order, labels))
-        for order in map(bytes, _row1_orders(table, identity))
-    ]
-    for k in range(2, n):
+    rows, candidates = _row1_relabelings(table, identity)
+    for k in range(2, len(table)):
         if len(candidates) == 1:
             break
-        images = [order.translate(rows[order[k]]).translate(sigma)
+        images = [_relabeled_row(rows, order, sigma, order[k])
                   for order, sigma in candidates]
         least = min(images)
         candidates = [c for c, image in zip(candidates, images) if image == least]
     order, sigma = candidates[0]
-    return tuple([tuple(order.translate(rows[x]).translate(sigma)) for x in order])
+    return tuple([tuple(_relabeled_row(rows, order, sigma, x)) for x in order])
 
 
 def canonical_key(L: LoopTable) -> tuple[int, ...]:
@@ -423,15 +438,19 @@ def reduced_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     return _completions(n)
 
 
-def _left_invariant(row) -> tuple[tuple[int, ...], int]:
-    """(cycle type of L_x, length of its cycle through the identity 0) for
-    the row L_x of a non-identity x of a reduced table."""
+def _left_invariant(row) -> tuple[int, tuple[int, ...]]:
+    """(length c of the cycle through the identity 0, the lengths of the
+    other cycles in ascending order) for the row L_x of a non-identity x of
+    a reduced table: the key by which `_row1_orders` picks the x whose
+    relabeled row 1 is least."""
     c = 1
     y = row[0]
     while y:
         y = row[y]
         c += 1
-    return _cycle_type(row), c
+    rest = list(_cycle_type(row))
+    rest.remove(c)
+    return c, tuple(rest)
 
 
 def _derangement_types(n: int, least: int = 2) -> Iterator[tuple[int, ...]]:
@@ -445,14 +464,14 @@ def _derangement_types(n: int, least: int = 2) -> Iterator[tuple[int, ...]]:
 
 
 def _standard_rows(n: int) -> list[tuple[int, ...]]:
-    """One row 1 per value of `_left_invariant`, in increasing order: the
-    cycle through 0 is 0 -> 1 -> ... -> c-1 -> 0, and the other cycles follow
-    on consecutive labels, shortest first."""
+    """One row 1 per value (c, rest) of `_left_invariant`, in increasing
+    order, which is also the rows' lexicographic order: the cycle through 0
+    is 0 -> 1 -> ... -> c-1 -> 0, and the other cycles follow on
+    consecutive labels, shortest first.  This is the inner row 1 that each
+    `_row1_orders` order gives a table whose least invariant is (c, rest)."""
     rows = []
-    for lengths in _derangement_types(n):
-        for c in sorted(set(lengths)):
-            rest = list(lengths)
-            rest.remove(c)
+    for c in range(2, n + 1):
+        for rest in _derangement_types(n - c):
             row = []
             for length in (c, *rest):
                 start = len(row)
@@ -463,11 +482,14 @@ def _standard_rows(n: int) -> list[tuple[int, ...]]:
 
 def _orderly_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """The reduced tables of order n whose row 1 is a standard row and whose
-    other non-identity rows have no smaller `_left_invariant`.
+    other non-identity rows have no smaller `_left_invariant`, in
+    lexicographic order.
 
-    Every loop class keeps a table here: take a non-identity x whose L_x has
-    the least invariant and a relabeling that fixes 0 and conjugates L_x onto
-    the standard row of that invariant; it sends x = L_x(0) to 1.
+    These are exactly the `_row1_orders` relabelings of every loop class of
+    order n: such a relabeling fixes 0, sends an x whose L_x has the least
+    invariant to 1 and conjugates L_x onto the standard row of that
+    invariant; and a table here is its own relabeling by the identity order.
+    So each class's first table here is its canonical form.
     """
     if n == 1:
         yield from _completions(1)
@@ -498,29 +520,49 @@ def _generate(n: int) -> tuple[LoopTable, ...]:
         )
     if n > GENERATION_SOFT_CAP:
         warnings.warn(
-            "exhaustive generation at order 7 completes 151,884 tables and "
-            "names 23,746 classes; expect about 10 seconds",
+            "exhaustive generation at order 7 completes 155,205 tables and "
+            "names 23,746 classes; expect about 4 seconds",
             stacklevel=2,
         )
-    forms = sorted({_canonical_rows(table, 0) for table in _orderly_tables(n)})
+    # The stream meets each class first at its canonical form, and the
+    # form's `_row1_orders` relabelings are the class's tables in the
+    # stream, each met once: `seen` keeps their bytes until each is skipped.
+    # The forms come in stream order, which is sorted.
+    forms = []
+    seen = set()
+    for table in _orderly_tables(n):
+        key = b"".join(map(bytes, table))
+        if key in seen:
+            seen.remove(key)
+            continue
+        forms.append(table)
+        rows, candidates = _row1_relabelings(table, 0)
+        seen.update(
+            b"".join([_relabeled_row(rows, order, sigma, x) for x in order])
+            for order, sigma in candidates
+        )
     names = _class_names(n, len(forms))
     return tuple(make_loop(rows, name=name) for rows, name in zip(forms, names))
 
 
 def generate_loops(n: int, filters: tuple[str, ...] = ()) -> list[CatalogEntry]:
-    """All loops of order n up to isomorphism, optionally filtered.
+    """All loops of order n up to isomorphism, optionally filtered; an
+    unknown filter is refused before anything is generated.
 
     Whole-row Latin-square completion streams the reduced tables whose
-    row 1 is a fixed standard row for each (cycle type of L_1, length of its
-    cycle through the identity) and whose other rows have no smaller such
-    invariant (`_orderly_tables`): at least one table per class, 462 at
-    order 6 and 151,884 at order 7.  Each table is replaced by its
-    canonical form, the least relabeling among those whose inner row 1 is
-    least (`_row1_orders`), chosen row by row with `bytes.translate`
-    (`_canonical_rows`), and the distinct forms, sorted, are the classes,
-    named ``n<order>_<index>``.
+    row 1 is a fixed standard row for each (length c of the cycle of L_1
+    through the identity, its other cycle lengths in ascending order) and
+    whose other rows have no smaller such invariant (`_orderly_tables`):
+    470 tables at order 6 and 155,205 at order 7.  These are each class's
+    least-row-1 relabelings (`_row1_orders`), and the stream is in
+    lexicographic order, so the first table of a class is its canonical
+    form; the class's other tables are skipped by their bytes
+    (`_generate`).  The forms, in stream order, are the classes, named
+    ``n<order>_<index>``.
     Every emitted entry re-passes its filter predicates by construction of
     the flags.
     """
+    filters = tuple(filters)
+    _check_filters(filters)
     entries = [make_entry(L.name, L) for L in _generate(n)]
-    return [entry for entry in entries if entry_passes(entry, tuple(filters))]
+    return [entry for entry in entries if entry_passes(entry, filters)]

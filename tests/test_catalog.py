@@ -9,6 +9,7 @@ from loopcheck.catalog import (
     LoopFileError,
     _canonical_rows,
     _class_names,
+    _completions,
     _left_invariant,
     _orderly_tables,
     _row1_orders,
@@ -197,7 +198,7 @@ def test_row_completion_matches_cellwise_oracle(monkeypatch):
     monkeypatch.setattr(catalog, "_completions", _cellwise_completions)
     assert reduced == [list(reduced_tables(n)) for n in range(1, 6)]
     assert orderly == [list(_orderly_tables(n)) for n in range(1, 7)]
-    assert [len(tables) for tables in orderly] == [1, 1, 1, 2, 7, 462]
+    assert [len(tables) for tables in orderly] == [1, 1, 1, 2, 7, 470]
 
 
 def test_generate_counts_small():
@@ -308,9 +309,74 @@ def test_orderly_tables_keep_every_class():
         assert _class_forms(_orderly_tables(n)) == _class_forms(reduced_tables(n))
 
 
+def _relabeled_by(table, order):
+    """The table relabeled cell by cell so that order[k] becomes label k."""
+    sigma = [0] * len(table)
+    for k, x in enumerate(order):
+        sigma[x] = k
+    return tuple(tuple(sigma[table[a][b]] for b in order) for a in order)
+
+
+def _check_stream_classes(tables):
+    """Group a stream by `_canonical_rows`, the oracle for the skip in
+    `_generate`, and check each class against its first table."""
+    classes = {}
+    for table in tables:
+        classes.setdefault(_canonical_rows(table, 0), []).append(table)
+    for form, members in classes.items():
+        first = members[0]
+        assert first == form
+        images = {_relabeled_by(first, order) for order in _row1_orders(first, 0)}
+        assert len(members) == len(set(members)) == len(images)
+        assert set(members) == images
+    return len(classes)
+
+
+# The classes of order 7 whose canonical row 1 has a cycle of length 5 or 7
+# through the identity: the class tables of `generate_loops(7)` whose
+# row 1 has such a cycle.
+CLASSES7 = 950
+
+
+def test_stream_holds_each_class_as_its_row1_relabelings():
+    # The stream meets each class first at its canonical form, and then
+    # only at that form's `_row1_orders` relabelings, which `_generate` skips.
+    counts = [_check_stream_classes(list(_orderly_tables(n))) for n in range(1, 7)]
+    assert counts == [1, 1, 1, 2, 6, 109]
+    # Order 7, the standard rows whose cycle through 0 has length 5 or 7;
+    # every table of a class has the same row 1.
+    tables = []
+    for row in _standard_rows(7):
+        least = _left_invariant(row)
+        if least[0] >= 5:
+            tables += _completions(7, row, lambda r: _left_invariant(r) >= least)
+    assert len(tables) == 4316
+    assert tables == sorted(tables)
+    assert _check_stream_classes(tables) == CLASSES7
+
+
+def test_generate_relabels_each_class_once(monkeypatch):
+    calls = []
+
+    def counted(table, identity):
+        calls.append(table)
+        return _row1_orders(table, identity)
+
+    def refused(table, identity):
+        raise AssertionError("generation computed a canonical form")
+
+    monkeypatch.setattr(catalog, "_row1_orders", counted)
+    monkeypatch.setattr(catalog, "_canonical_rows", refused)
+    for n in range(1, 7):
+        calls.clear()
+        loops = catalog._generate.__wrapped__(n)
+        assert calls == [L.table for L in loops]
+
+
 def test_standard_rows_cover_each_invariant_once():
     for n in range(2, 8):
         rows = _standard_rows(n)
+        assert rows == sorted(rows)
         for row in rows:
             assert sorted(row) == list(range(n))
             assert row[0] == 1
@@ -339,8 +405,8 @@ ORDER7_TABLES_SHA256 = "f157ec4159f675249cad3e7e2c4eb6aabb5279975f041bb6a8b54be7
 
 @pytest.mark.slow
 def test_generate_order7():
-    assert sum(1 for _ in _orderly_tables(7)) == 151884
-    with pytest.warns(UserWarning, match="151,884 tables"):
+    assert sum(1 for _ in _orderly_tables(7)) == 155205
+    with pytest.warns(UserWarning, match="155,205 tables"):
         catalog7 = generate_loops(7)
     assert len(catalog7) == 23746
     # The only automorphic class of order 7 is the cyclic group.
@@ -383,6 +449,16 @@ def test_filters_are_consistent(catalog6):
     assert all(entry_passes(e, ("automorphic", "odd-order")) for e in odd)
     with pytest.raises(LoopError):
         generate_loops(4, ("shiny",))
+
+
+def test_unknown_filter_is_refused_before_generation(monkeypatch):
+    def refused(n):
+        raise AssertionError("generated before checking the filters")
+
+    monkeypatch.setattr(catalog, "_generate", refused)
+    for n in (6, 7):
+        with pytest.raises(LoopError, match="unknown filter 'shiny'"):
+            generate_loops(n, ("automorphic", "shiny"))
 
 
 def test_generation_caps():
