@@ -78,7 +78,6 @@ from .halfiso import (
     scan_conjecture51,
 )
 from .catalog import (
-    CatalogEntry,
     parse_loop_file,
     write_loop_file,
     builtin_loop,

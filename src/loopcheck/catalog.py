@@ -15,7 +15,6 @@ from itertools import chain, groupby, permutations, product
 from operator import add, eq
 from typing import Callable, Iterator
 
-from ._record import record
 from .table import (
     MAX_ORDER,
     LoopTable,
@@ -34,14 +33,6 @@ CANONICAL_ORDER_CAP = 8
 GENERATION_SOFT_CAP = 6
 GENERATION_HARD_CAP = 7
 
-KNOWN_FILTERS = (
-    "automorphic",
-    "commutative",
-    "power-associative",
-    "odd-order",
-    "co1",
-)
-
 
 class LoopFileError(LoopError):
     def __init__(self, message: str, line: int):
@@ -49,40 +40,33 @@ class LoopFileError(LoopError):
         super().__init__(f"line {line}: {message}")
 
 
-@record(frozen=True)
-class CatalogEntry:
-    name: str
-    loop: LoopTable
-    automorphic: bool
-    commutative: bool
-    power_associative: bool
-    odd_order: bool
-    co1: bool
+def _odd_order(L: LoopTable) -> bool:
+    return L.order % 2 == 1
 
 
-def make_entry(name: str, L: LoopTable) -> CatalogEntry:
-    return CatalogEntry(
-        name=name,
-        loop=L,
-        automorphic=is_automorphic(L),
-        commutative=is_commutative(L),
-        power_associative=is_power_associative(L),
-        odd_order=L.order % 2 == 1,
-        co1=satisfies_co1(L),
-    )
+# Each filter of `generate_loops` and the predicate behind it; ``generate``
+# prints every flag, named as the filter with ``-`` spelled ``_``.  Each
+# predicate but the order's parity memoizes on the loop, so a flag is
+# computed when first read, and once.
+FLAGS: dict[str, Callable[[LoopTable], bool]] = {
+    "automorphic": is_automorphic,
+    "commutative": is_commutative,
+    "power-associative": is_power_associative,
+    "odd-order": _odd_order,
+    "co1": satisfies_co1,
+}
 
 
 def _check_filters(filters) -> None:
     for f in filters:
-        if f not in KNOWN_FILTERS:
-            raise LoopError(f"unknown filter {f!r}; known: {', '.join(KNOWN_FILTERS)}")
+        if f not in FLAGS:
+            raise LoopError(f"unknown filter {f!r}; known: {', '.join(FLAGS)}")
 
 
-def entry_passes(entry: CatalogEntry, filters) -> bool:
-    """Whether the entry's flag is set for every filter; a filter's flag is
-    the field named as the filter with ``-`` spelled ``_``."""
+def passes_filters(L: LoopTable, filters) -> bool:
+    """Whether L has the flag of every filter."""
     _check_filters(filters)
-    return all(getattr(entry, f.replace("-", "_")) for f in filters)
+    return all(FLAGS[f](L) for f in filters)
 
 
 # ---------------------------------------------------------------------------
@@ -210,13 +194,10 @@ def builtin_loop(name: str) -> LoopTable:
 
 
 @lru_cache(maxsize=1)
-def builtin_loops() -> tuple[CatalogEntry, ...]:
-    entries = [
-        make_entry("example21_star", example21_star()),
-        make_entry("example21_dot", example21_dot()),
-    ]
-    entries += [make_entry(f"c{n}", cyclic_group(n)) for n in range(1, 17)]
-    return tuple(entries)
+def builtin_loops() -> tuple[LoopTable, ...]:
+    """The built-in catalog: ``example21_star``, ``example21_dot``, and the
+    cyclic groups ``c1`` to ``c16``."""
+    return (example21_star(), example21_dot(), *map(cyclic_group, range(1, 17)))
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +502,7 @@ def _generate(n: int) -> tuple[LoopTable, ...]:
     if n > GENERATION_SOFT_CAP:
         warnings.warn(
             "exhaustive generation at order 7 completes 155,205 tables and "
-            "names 23,746 classes; expect about 4 seconds",
+            "names 23,746 classes; expect 4 to 6 seconds",
             stacklevel=2,
         )
     # The stream meets each class first at its canonical form, and the
@@ -545,9 +526,10 @@ def _generate(n: int) -> tuple[LoopTable, ...]:
     return tuple(make_loop(rows, name=name) for rows, name in zip(forms, names))
 
 
-def generate_loops(n: int, filters: tuple[str, ...] = ()) -> list[CatalogEntry]:
-    """All loops of order n up to isomorphism, optionally filtered; an
-    unknown filter is refused before anything is generated.
+def generate_loops(n: int, filters: tuple[str, ...] = ()) -> list[LoopTable]:
+    """All loops of order n up to isomorphism, named ``n<order>_<index>``,
+    keeping those that pass every filter (`FLAGS`); an unknown filter is
+    refused before anything is generated.
 
     Whole-row Latin-square completion streams the reduced tables whose
     row 1 is a fixed standard row for each (length c of the cycle of L_1
@@ -557,12 +539,8 @@ def generate_loops(n: int, filters: tuple[str, ...] = ()) -> list[CatalogEntry]:
     least-row-1 relabelings (`_row1_orders`), and the stream is in
     lexicographic order, so the first table of a class is its canonical
     form; the class's other tables are skipped by their bytes
-    (`_generate`).  The forms, in stream order, are the classes, named
-    ``n<order>_<index>``.
-    Every emitted entry re-passes its filter predicates by construction of
-    the flags.
+    (`_generate`).  The forms, in stream order, are the classes.  Only the
+    filters' predicates are computed.
     """
-    filters = tuple(filters)
     _check_filters(filters)
-    entries = [make_entry(L.name, L) for L in _generate(n)]
-    return [entry for entry in entries if entry_passes(entry, filters)]
+    return [L for L in _generate(n) if passes_filters(L, filters)]

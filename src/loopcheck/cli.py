@@ -190,20 +190,19 @@ def _cmd_identity(args) -> tuple[AnalysisReport, int]:
 
 def _cmd_generate(args) -> tuple[AnalysisReport, int]:
     report = AnalysisReport()
-    entries = cat.generate_loops(args.order, tuple(args.filter))
-    flags = [f.replace("-", "_") for f in cat.KNOWN_FILTERS]
-    for entry in entries:
-        report.add("loop-generated", loops=(entry.name,), order=entry.loop.order,
-                   **{f: getattr(entry, f) for f in flags})
+    loops = cat.generate_loops(args.order, tuple(args.filter))
+    for L in loops:
+        flags = {f.replace("-", "_"): flag(L) for f, flag in cat.FLAGS.items()}
+        report.add("loop-generated", loops=(L.name,), order=L.order, **flags)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        for entry in entries:
-            path = os.path.join(args.out, f"{entry.name}.loop")
+        for L in loops:
+            path = os.path.join(args.out, f"{L.name}.loop")
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(cat.write_loop_file(entry.loop))
-        report.add("loops-written", directory=args.out, count=len(entries))
+                fh.write(cat.write_loop_file(L))
+        report.add("loops-written", directory=args.out, count=len(loops))
     report.add("generation-summary", order=args.order,
-               filters=list(args.filter), count=len(entries))
+               filters=list(args.filter), count=len(loops))
     return report, 0
 
 
@@ -267,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate small loops up to isomorphism")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--filter", action="append", default=[],
-                   choices=cat.KNOWN_FILTERS)
+                   choices=cat.FLAGS)
     p.add_argument("--out", help="write loop files into this directory")
     p.set_defaults(fn=_cmd_generate)
 

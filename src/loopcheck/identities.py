@@ -257,7 +257,8 @@ class _Parser:
         self.i = 0
         self.macros = macros
         self.depth = 0  # open parentheses and macro argument lists
-        self.variables: dict[str, Var] = {}  # one record per name
+        # one record per name, in order of first appearance
+        self.variables: dict[str, Var] = {}
 
     def grow(self, height: int, size: int, pos: int) -> tuple[int, int]:
         if height > MAX_NESTING:
@@ -305,7 +306,7 @@ class _Parser:
             raise ParseError("at most two alternatives in a conclusion", pos)
         self.expect("EOF")
         return IdentityStatement(
-            variables=_free_variables((*hypotheses, *conclusion)),
+            variables=tuple(self.variables),
             hypotheses=hypotheses,
             conclusion=tuple(conclusion),
             name=name,
@@ -425,16 +426,6 @@ def _shape(term: Term, memo: dict | None = None) -> tuple[int, int]:
         height = max((h + 1 for h, _ in shapes), default=0)
         memo[id(term)] = height, 1 + sum(s for _, s in shapes)
     return memo[id(term)]
-
-
-def _free_variables(equations: tuple[Equation, ...]) -> tuple[str, ...]:
-    seen: list[str] = []
-    for eq in equations:
-        for term in (eq.lhs, eq.rhs):
-            for node in _walk(term):
-                if isinstance(node, Var) and node.name not in seen:
-                    seen.append(node.name)
-    return tuple(seen)
 
 
 def _split_label(text: str) -> tuple[str | None, str]:

@@ -15,7 +15,7 @@ from typing import Iterator
 
 from . import catalog as cat
 from ._record import field, record
-from .catalog import CatalogEntry, canonical_form, canonical_key, are_isomorphic
+from .catalog import canonical_form, canonical_key, are_isomorphic
 from .halfiso import (
     HalfIso,
     classify,
@@ -30,9 +30,9 @@ from .halfiso import (
     surveys,
 )
 from .identities import builtin_library, evaluate
-from .perms import invert
+from .perms import invert, is_automorphic
 from .report import AnalysisReport, one_based
-from .structure import co1_violation, theorem31_violation
+from .structure import co1_violation, satisfies_co1, theorem31_violation
 from .table import (
     LoopError,
     LoopTable,
@@ -49,14 +49,14 @@ ORACLE_ORDER_CAP = 5
 class SuiteContext:
     max_order: int = 6
     seed: int = 0
-    generated: dict[int, list[CatalogEntry]] = field(default_factory=dict)
-    builtins: list[CatalogEntry] = field(default_factory=list)
+    generated: dict[int, list[LoopTable]] = field(default_factory=dict)
+    builtins: list[LoopTable] = field(default_factory=list)
     enumerated: dict = field(default_factory=dict, repr=False)
 
     def half_isos(self, Q: LoopTable, R: LoopTable) -> tuple[HalfIso, ...]:
         """Every half-isomorphism Q -> R from `enumerate_half_isos`, on the
         first request and kept for the rest of the run.  Loops compare by
-        table, so catalog entries with equal tables share one enumeration."""
+        table, so catalog loops with equal tables share one enumeration."""
         maps = self.enumerated.get((Q, R))
         if maps is None:
             maps = self.enumerated[(Q, R)] = tuple(enumerate_half_isos(Q, R))
@@ -67,8 +67,8 @@ class SuiteContext:
         `halfiso._Pair`; each per-map criterion surveys a pair once."""
         return surveys(Q, R, self.half_isos(Q, R))
 
-    def generated_entries(self) -> list[CatalogEntry]:
-        return [e for n in sorted(self.generated) for e in self.generated[n]]
+    def generated_loops(self) -> list[LoopTable]:
+        return [L for n in sorted(self.generated) for L in self.generated[n]]
 
 
 @record
@@ -96,11 +96,11 @@ def build_context(max_order: int = 6, seed: int = 0) -> SuiteContext:
     return ctx
 
 
-def _suite_pairs(ctx: SuiteContext) -> list[tuple[CatalogEntry, CatalogEntry]]:
+def _suite_pairs(ctx: SuiteContext) -> list[tuple[LoopTable, LoopTable]]:
     """Every ordered pair whose half-isomorphisms the suite enumerates:
     the odd-order audit pairs, the oracle-equivalence pairs, and the
     conjecture-scan pairs, deduplicated by name."""
-    pairs: dict[tuple[str, str], tuple[CatalogEntry, CatalogEntry]] = {}
+    pairs: dict[tuple[str, str], tuple[LoopTable, LoopTable]] = {}
     for a, b in _odd_audit_pairs(ctx):
         pairs[(a.name, b.name)] = (a, b)
     for a, b in _oracle_pairs(ctx):
@@ -110,40 +110,32 @@ def _suite_pairs(ctx: SuiteContext) -> list[tuple[CatalogEntry, CatalogEntry]]:
     return [pairs[k] for k in sorted(pairs)]
 
 
-def _odd_audit_pairs(ctx: SuiteContext) -> list[tuple[CatalogEntry, CatalogEntry]]:
-    pool = [
-        e
-        for e in ctx.generated_entries()
-        if e.automorphic and e.odd_order
-    ]
+def _odd_audit_pairs(ctx: SuiteContext) -> list[tuple[LoopTable, LoopTable]]:
+    pool = [L for L in ctx.generated_loops() if L.order % 2 and is_automorphic(L)]
     pool += [
-        e
-        for e in ctx.builtins
-        if e.automorphic and e.odd_order and e.loop.order <= ODD_AUDIT_ORDER_CAP
+        L
+        for L in ctx.builtins
+        if L.order % 2 and L.order <= ODD_AUDIT_ORDER_CAP and is_automorphic(L)
     ]
-    return [
-        (a, b) for a in pool for b in pool if a.loop.order == b.loop.order
-    ]
+    return [(a, b) for a in pool for b in pool if a.order == b.order]
 
 
-def _oracle_pairs(ctx: SuiteContext) -> list[tuple[CatalogEntry, CatalogEntry]]:
+def _oracle_pairs(ctx: SuiteContext) -> list[tuple[LoopTable, LoopTable]]:
     pool = [
-        e
-        for e in ctx.generated_entries() + list(ctx.builtins)
-        if e.loop.order <= ORACLE_ORDER_CAP
+        L
+        for L in ctx.generated_loops() + list(ctx.builtins)
+        if L.order <= ORACLE_ORDER_CAP
     ]
-    pairs = [(a, b) for a in pool for b in pool if a.loop.order == b.loop.order]
-    star = next(e for e in ctx.builtins if e.name == "example21_star")
-    dot = next(e for e in ctx.builtins if e.name == "example21_dot")
+    pairs = [(a, b) for a in pool for b in pool if a.order == b.order]
+    star = next(L for L in ctx.builtins if L.name == "example21_star")
+    dot = next(L for L in ctx.builtins if L.name == "example21_dot")
     pairs.append((star, dot))
     return pairs
 
 
-def _scan_pairs(ctx: SuiteContext) -> list[tuple[CatalogEntry, CatalogEntry]]:
-    pool = [e for e in ctx.generated_entries() if e.automorphic]
-    return [
-        (a, b) for a in pool for b in pool if a.loop.order == b.loop.order
-    ]
+def _scan_pairs(ctx: SuiteContext) -> list[tuple[LoopTable, LoopTable]]:
+    pool = [L for L in ctx.generated_loops() if is_automorphic(L)]
+    return [(a, b) for a in pool for b in pool if a.order == b.order]
 
 
 def _timed(number: int, title: str, fn, ctx: SuiteContext) -> CriterionResult:
@@ -207,16 +199,16 @@ def criterion_1(ctx: SuiteContext) -> AnalysisReport:
 def criterion_2(ctx: SuiteContext) -> AnalysisReport:
     report = AnalysisReport()
     checked = 0
-    for entry in ctx.generated_entries():
-        if not entry.automorphic:
+    for L in ctx.generated_loops():
+        if not is_automorphic(L):
             continue
         checked += 1
-        w = theorem31_violation(entry.loop)
+        w = theorem31_violation(L)
         if w is not None:
             report.add(
                 "theorem31-violation",
                 level="finding",
-                loops=(entry.name,),
+                loops=(L.name,),
                 witness=(w[0] + 1, w[1] + 1, w[2]),
                 anchor="theorem31",
             )
@@ -230,26 +222,26 @@ def criterion_2(ctx: SuiteContext) -> AnalysisReport:
 def criterion_3(ctx: SuiteContext) -> AnalysisReport:
     report = AnalysisReport()
     checked = 0
-    for entry in ctx.generated_entries():
-        if not entry.automorphic:
+    for L in ctx.generated_loops():
+        if not is_automorphic(L):
             continue
         checked += 1
-        L = entry.loop
         u2d = is_uniquely_2_divisible(L)
-        if u2d != entry.odd_order:
+        odd = L.order % 2 == 1
+        if u2d != odd:
             report.add(
                 "u2d-odd-mismatch",
                 level="finding",
-                loops=(entry.name,),
-                witness=(u2d, entry.odd_order),
+                loops=(L.name,),
+                witness=(u2d, odd),
                 anchor="prop26",
             )
-        if u2d and not entry.co1:
+        if u2d and not satisfies_co1(L):
             x, y, direction = co1_violation(L)
             report.add(
                 "co1-violation",
                 level="finding",
-                loops=(entry.name,),
+                loops=(L.name,),
                 witness=(x + 1, y + 1, direction),
                 anchor="cor33",
             )
@@ -275,15 +267,15 @@ def criterion_4(ctx: SuiteContext) -> AnalysisReport:
         for s in builtin_library()
         if s.name in CRITERION4_EXACT or s.name.startswith(CRITERION4_PREFIXES)
     ]
-    loops = [e for e in ctx.generated_entries() if e.automorphic]
-    for entry in loops:
+    loops = [L for L in ctx.generated_loops() if is_automorphic(L)]
+    for L in loops:
         for stmt in statements:
-            cx = evaluate(entry.loop, stmt, automorphic=True)
+            cx = evaluate(L, stmt, automorphic=True)
             if cx is not None:
                 report.add(
                     "identity-counterexample",
                     level="finding",
-                    loops=(entry.name,),
+                    loops=(L.name,),
                     witness=tuple((v, x + 1) for v, x in cx.items()),
                     anchor=stmt.name or "",
                 )
@@ -303,8 +295,8 @@ def criterion_5(ctx: SuiteContext) -> AnalysisReport:
     report = AnalysisReport()
     pairs = _odd_audit_pairs(ctx)
     for a, b in pairs:
-        maps = ctx.half_isos(a.loop, b.loop)
-        for rec in audit_theorem41(a.loop, b.loop, maps).records:
+        maps = ctx.half_isos(a, b)
+        for rec in audit_theorem41(a, b, maps).records:
             if rec.level != "info":
                 report.records.append(rec)
     report.add("odd-audits-run", anchor="theorem41", pairs=len(pairs))
@@ -318,7 +310,7 @@ def criterion_6(ctx: SuiteContext) -> AnalysisReport:
     report = AnalysisReport()
     maps = 0
     for a, b in _suite_pairs(ctx):
-        for s in ctx.map_surveys(a.loop, b.loop):
+        for s in ctx.map_surveys(a, b):
             maps += 1
             speciality_check(s, report, (a.name, b.name))
     report.add("criteria-agreement-checked", anchor="prop27", maps=maps)
@@ -329,9 +321,9 @@ def criterion_7(ctx: SuiteContext) -> AnalysisReport:
     report = AnalysisReport()
     maps = 0
     for a, b in _suite_pairs(ctx):
-        if not (is_power_associative(a.loop) and is_power_associative(b.loop)):
+        if not (is_power_associative(a) and is_power_associative(b)):
             continue
-        for s in ctx.map_surveys(a.loop, b.loop):
+        for s in ctx.map_surveys(a, b):
             maps += 1
             power_check(s, report, (a.name, b.name))
     report.add("power-compatibility-checked", anchor="prop28", maps=maps)
@@ -345,8 +337,8 @@ def criterion_8(ctx: SuiteContext) -> AnalysisReport:
     report = AnalysisReport()
     pairs = _oracle_pairs(ctx)
     for a, b in pairs:
-        naive = [f.mapping for f in naive_half_isos(a.loop, b.loop)]
-        pruned = [f.mapping for f in ctx.half_isos(a.loop, b.loop)]
+        naive = [f.mapping for f in naive_half_isos(a, b)]
+        pruned = [f.mapping for f in ctx.half_isos(a, b)]
         if naive != pruned:
             report.add(
                 "enumeration-mode-mismatch",
@@ -402,14 +394,13 @@ def criterion_9(ctx: SuiteContext) -> AnalysisReport:
                 anchor="generator-oracle",
             )
         keys = {}
-        for entry in generated:
-            L = entry.loop
+        for L in generated:
             c1 = canonical_form(L)
             if canonical_form(c1) != c1:
                 report.add(
                     "canonical-not-idempotent",
                     level="finding",
-                    loops=(entry.name,),
+                    loops=(L.name,),
                     anchor="canonical-form",
                 )
             # isomorphism-invariance under a sampled relabeling
@@ -417,12 +408,12 @@ def criterion_9(ctx: SuiteContext) -> AnalysisReport:
             rng.shuffle(labels)
             sigma = tuple(labels)
             relabeled = make_loop(_relabel_table(L.table, sigma))
-            keys[entry.name] = canonical_key(L)
-            if canonical_key(relabeled) != keys[entry.name]:
+            keys[L.name] = canonical_key(L)
+            if canonical_key(relabeled) != keys[L.name]:
                 report.add(
                     "canonical-not-invariant",
                     level="finding",
-                    loops=(entry.name,),
+                    loops=(L.name,),
                     witness=one_based(sigma),
                     anchor="canonical-form",
                 )
@@ -430,19 +421,19 @@ def criterion_9(ctx: SuiteContext) -> AnalysisReport:
                 report.add(
                     "search-missed-isomorphism",
                     level="finding",
-                    loops=(entry.name,),
+                    loops=(L.name,),
                     anchor="canonical-form",
                 )
         # canonical equality must agree with the backtracking search
-        for i, e1 in enumerate(generated):
-            for e2 in generated[i + 1 :]:
-                same_key = keys[e1.name] == keys[e2.name]
-                same_iso = are_isomorphic(e1.loop, e2.loop)
+        for i, L1 in enumerate(generated):
+            for L2 in generated[i + 1 :]:
+                same_key = keys[L1.name] == keys[L2.name]
+                same_iso = are_isomorphic(L1, L2)
                 if same_key != same_iso:
                     report.add(
                         "canonical-search-disagree",
                         level="finding",
-                        loops=(e1.name, e2.name),
+                        loops=(L1.name, L2.name),
                         witness=(same_key, same_iso),
                         anchor="canonical-form",
                     )
@@ -455,7 +446,7 @@ def criterion_9(ctx: SuiteContext) -> AnalysisReport:
 # criterion 10: the speciality conjecture scan
 
 def criterion_10(ctx: SuiteContext) -> AnalysisReport:
-    pool = [(e.name, e.loop) for e in ctx.generated_entries() if e.automorphic]
+    pool = [(L.name, L) for L in ctx.generated_loops() if is_automorphic(L)]
     return scan_conjecture51(pool, ctx.map_surveys)
 
 

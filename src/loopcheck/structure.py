@@ -20,6 +20,7 @@ from .table import (
     _getter,
     _restricted,
     multiplication_closure,
+    per_loop,
     squaring_map,
 )
 
@@ -94,6 +95,7 @@ def _squared_condition_disagreement(L: LoopTable, partners) -> tuple[int, int, s
     return None
 
 
+@per_loop
 def co1_violation(L: LoopTable) -> tuple[int, int, str] | None:
     """Least (x, y, direction) where x*(x*y) = (y*x)*x and x*y = y*x disagree.
 

@@ -111,8 +111,8 @@ def oracle_loops():
     and seeded relabelings of the two example tables.  The relabelings move
     the identity off element 0, and the non-commutative dot table is the one
     that tells L(x,y) from R(x,y)."""
-    loops = [e.loop for n in range(1, 7) for e in generate_loops(n)]
-    loops += [e.loop for e in builtin_loops()]
+    loops = [L for n in range(1, 7) for L in generate_loops(n)]
+    loops += builtin_loops()
     loops += [
         _relabeled(L, seed)
         for L in (example21_star(), example21_dot())
@@ -150,7 +150,7 @@ def witness_loops(oracle_loops):
         + [switched_elementary_abelian(6, k, seed) for k, seed in ((1, 1), (8, 2), (40, 7))]
         + [direct_product(example21_dot(), cyclic_group(8))]
         # commutative, with a proper one-generated closure that is not associative
-        + [direct_product(next(e.loop for e in generate_loops(6) if e.name == "n6_002"),
+        + [direct_product(next(L for L in generate_loops(6) if L.name == "n6_002"),
                           cyclic_group(2))]
     )
 

@@ -1,10 +1,11 @@
 import hashlib
+import sys
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopcheck import catalog
+from loopcheck import catalog, papercheck
 from loopcheck.catalog import (
     LoopFileError,
     _canonical_rows,
@@ -19,11 +20,11 @@ from loopcheck.catalog import (
     builtin_loops,
     canonical_form,
     canonical_key,
-    entry_passes,
     example21_dot,
     example21_star,
     generate_loops,
     parse_loop_file,
+    passes_filters,
     reduced_tables,
     write_loop_file,
 )
@@ -35,7 +36,7 @@ from loopcheck.table import (
     is_associative,
     make_loop,
 )
-from loopcheck.perms import isomorphisms
+from loopcheck.perms import is_automorphic, isomorphisms
 
 STAR_TEXT = """loop 7 example21_star
 1 2 3 4 5 6 7
@@ -90,10 +91,10 @@ def test_builtin_tables(star, dot):
     assert example21_star().table == star.table
     assert is_associative(example21_star())
     assert not is_associative(example21_dot())
-    entries = {e.name: e for e in builtin_loops()}
-    assert entries["example21_star"].automorphic
-    assert not entries["example21_dot"].automorphic
-    assert entries["c12"].loop.order == 12
+    loops = {L.name: L for L in builtin_loops()}
+    assert is_automorphic(loops["example21_star"])
+    assert not is_automorphic(loops["example21_dot"])
+    assert loops["c12"].order == 12
 
 
 def test_builtin_loop_products():
@@ -211,16 +212,16 @@ def test_generate_order6_count(catalog6):
 
 
 def test_generated_entries_pairwise_non_isomorphic(catalog5):
-    for i, e1 in enumerate(catalog5):
-        for e2 in catalog5[i + 1 :]:
-            assert not are_isomorphic(e1.loop, e2.loop)
-            assert canonical_key(e1.loop) != canonical_key(e2.loop)
+    for i, L1 in enumerate(catalog5):
+        for L2 in catalog5[i + 1 :]:
+            assert not are_isomorphic(L1, L2)
+            assert canonical_key(L1) != canonical_key(L2)
 
 
 def test_generated_entries_are_canonical(catalog6):
-    for e in catalog6:
-        assert canonical_form(e.loop).table == e.loop.table
-    keys = [canonical_key(e.loop) for e in catalog6]
+    for L in catalog6:
+        assert canonical_form(L).table == L.table
+    keys = [canonical_key(L) for L in catalog6]
     assert len(set(keys)) == len(keys)
     assert keys == sorted(keys)
     assert [e.name for e in catalog6] == [
@@ -274,9 +275,9 @@ def _cellwise_row1_orders(table, identity):
 def test_row1_orders_match_cellwise_oracle(catalog6):
     tables = [(t, 0) for n in range(1, 6) for t in reduced_tables(n)]
     tables += [(t, 0) for t in _orderly_tables(6)]
-    loops = [e.loop for e in catalog6] + [builtin_loop("c2xc2xc2"), example21_dot()]
+    loops = [*catalog6, builtin_loop("c2xc2xc2"), example21_dot()]
     swap = (3, 1, 2, 0, 4, 5)  # an involution moving the identity to 3
-    for L in (catalog6[50].loop, catalog6[-1].loop):
+    for L in (catalog6[50], catalog6[-1]):
         loops.append(make_loop(
             [[swap[L.table[swap[a]][swap[b]]] for b in range(6)] for a in range(6)]
         ))
@@ -292,7 +293,7 @@ def test_canonical_rows_match_full_scan(catalog6):
     for n in range(1, 6):
         for table in reduced_tables(n):
             assert _canonical_rows(table, 0) == _full_scan_rows(table, 0)
-    loops = [e.loop for e in catalog6]
+    loops = list(catalog6)
     loops += [builtin_loop(name) for name in ("c8", "c2xc4", "c2xc2xc2")]
     for L in loops:
         assert _canonical_rows(L.table, L.identity) == _full_scan_rows(
@@ -410,16 +411,16 @@ def test_generate_order7():
         catalog7 = generate_loops(7)
     assert len(catalog7) == 23746
     # The only automorphic class of order 7 is the cyclic group.
-    assert sum(e.automorphic for e in catalog7) == 1
-    (auto,) = [e for e in catalog7 if e.automorphic]
-    assert auto.loop.table == canonical_form(cyclic_group(7)).table
-    tables = [e.loop.table for e in catalog7]
+    assert sum(map(is_automorphic, catalog7)) == 1
+    (auto,) = [L for L in catalog7 if is_automorphic(L)]
+    assert auto.table == canonical_form(cyclic_group(7)).table
+    tables = [L.table for L in catalog7]
     assert tables == sorted(set(tables))
     assert hashlib.sha256(repr(tables).encode()).hexdigest() == ORDER7_TABLES_SHA256
-    for e in catalog7[::1000]:
-        assert canonical_form(e.loop).table == e.loop.table
-        assert _full_scan_rows(e.loop.table, 0) == e.loop.table
-    names = [e.name for e in catalog7]
+    for L in catalog7[::1000]:
+        assert canonical_form(L).table == L.table
+        assert _full_scan_rows(L.table, 0) == L.table
+    names = [L.name for L in catalog7]
     assert names == sorted(set(names))
     assert names[::23745] == ["n7_00001", "n7_23746"]
 
@@ -427,7 +428,7 @@ def test_generate_order7():
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_canonical_rows_are_isomorphism_invariant(catalog6, data):
-    loops = [e.loop for e in catalog6] + [example21_dot(), builtin_loop("c2xc2xc2")]
+    loops = [*catalog6, example21_dot(), builtin_loop("c2xc2xc2")]
     L = data.draw(st.sampled_from(loops))
     sigma = [0, *data.draw(st.permutations(range(1, L.order)))]
     inv = [0] * L.order
@@ -442,13 +443,71 @@ def test_canonical_rows_are_isomorphism_invariant(catalog6, data):
 
 def test_filters_are_consistent(catalog6):
     auto = generate_loops(6, ("automorphic",))
-    assert [e.name for e in auto] == [e.name for e in catalog6 if e.automorphic]
+    assert [L.name for L in auto] == [L.name for L in catalog6 if is_automorphic(L)]
     assert len(auto) == 3
     odd = generate_loops(5, ("odd-order", "automorphic"))
     assert len(odd) == 1
-    assert all(entry_passes(e, ("automorphic", "odd-order")) for e in odd)
+    assert all(passes_filters(L, ("automorphic", "odd-order")) for L in odd)
     with pytest.raises(LoopError):
         generate_loops(4, ("shiny",))
+
+
+# order: (classes, loops with each flag of `FLAGS`: automorphic, commutative,
+# power-associative, odd-order, co1)
+FLAG_COUNTS = {
+    1: (1, (1, 1, 1, 1, 1)),
+    2: (1, (1, 1, 1, 0, 1)),
+    3: (1, (1, 1, 1, 1, 1)),
+    4: (2, (2, 2, 2, 0, 2)),
+    5: (6, (1, 1, 2, 6, 2)),
+    6: (109, (3, 8, 9, 0, 10)),
+}
+
+
+def test_flag_counts():
+    assert list(catalog.FLAGS) == [
+        "automorphic", "commutative", "power-associative", "odd-order", "co1"
+    ]
+    for n, (classes, counts) in FLAG_COUNTS.items():
+        loops = generate_loops(n)
+        assert len(loops) == classes, n
+        assert tuple(sum(map(flag, loops)) for flag in catalog.FLAGS.values()) == counts, n
+        assert tuple(len(generate_loops(n, (f,))) for f in catalog.FLAGS) == counts, n
+
+
+def _refuse_flags(monkeypatch, keep=()):
+    """Make each `FLAGS` predicate not in `keep` raise, in `FLAGS` and
+    wherever a loopcheck module binds it by name."""
+    modules = [m for name, m in sys.modules.items() if name.startswith("loopcheck")]
+    for f, flag in list(catalog.FLAGS.items()):
+        if f in keep:
+            continue
+
+        def refused(L, f=f):
+            raise AssertionError(f"computed the {f} flag of {L.name}")
+
+        monkeypatch.setitem(catalog.FLAGS, f, refused)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is flag:
+                    monkeypatch.setattr(module, attr, refused)
+
+
+def test_flags_are_computed_only_when_read(monkeypatch):
+    _refuse_flags(monkeypatch)
+    assert len(generate_loops(6)) == 109
+    ctx = papercheck.build_context(6)
+    assert [len(ctx.generated[n]) for n in range(1, 7)] == [1, 1, 1, 2, 6, 109]
+    assert len(ctx.builtins) == 18
+
+
+def test_a_filter_computes_only_its_flag(monkeypatch):
+    co1 = catalog.FLAGS["co1"]
+    read = []
+    _refuse_flags(monkeypatch, keep=("co1",))
+    monkeypatch.setitem(catalog.FLAGS, "co1", lambda L: read.append(L.name) or co1(L))
+    assert len(generate_loops(6, ("co1",))) == 10
+    assert read == [L.name for L in generate_loops(6)]
 
 
 def test_unknown_filter_is_refused_before_generation(monkeypatch):

@@ -76,7 +76,7 @@ def test_loop_file_parser_is_total(text):
 
 
 PLAIN_NAME = r"[A-Za-z0-9_.-]{1,12}"
-SMALL_LOOPS = [e.loop for e in builtin_loops() if e.loop.order <= 8]
+SMALL_LOOPS = [L for L in builtin_loops() if L.order <= 8]
 
 
 def relabeled(draw, L, name=None):
@@ -143,8 +143,8 @@ def test_identity_check_any_file(workdir, text):
 def halfiso_pool():
     """The order <= 6 catalog and the builtins up to order 7, by order; some
     of them are not power-associative."""
-    loops = [e.loop for n in range(1, 7) for e in generate_loops(n)]
-    loops += [e.loop for e in builtin_loops() if e.loop.order <= 7]
+    loops = [L for n in range(1, 7) for L in generate_loops(n)]
+    loops += [L for L in builtin_loops() if L.order <= 7]
     by_order = {}
     for L in loops:
         by_order.setdefault(L.order, []).append(L)
@@ -168,7 +168,7 @@ def test_pruned_half_isos_equal_naive(data):
 def non_associative_pool():
     """The non-associative loops of orders 5 and 6, and the order-7 dot
     table, which has elements without an inverse."""
-    loops = [e.loop for n in (5, 6) for e in generate_loops(n) if not is_associative(e.loop)]
+    loops = [L for n in (5, 6) for L in generate_loops(n) if not is_associative(L)]
     return loops + [example21_dot()]
 
 
@@ -251,7 +251,7 @@ def pooled_loops(draw):
 # block named by variable instead of by tail position would be read back
 # transposed, and commutativity would seem to hold
 @example(
-    generate_loops(5)[0].loop,
+    generate_loops(5)[0],
     [parse_identity("x * y = x * y"), parse_identity("y * x = x * y")],
 )
 def test_blocks_kept_per_loop_answer_as_a_cold_loop(L, statements):

@@ -30,7 +30,7 @@ from loopcheck.halfiso import (
     speciality_criteria,
 )
 from loopcheck.catalog import builtin_loops, generate_loops
-from loopcheck.perms import invert, isomorphisms
+from loopcheck.perms import invert, is_automorphic, isomorphisms
 from loopcheck.table import (
     LoopError,
     LoopTable,
@@ -169,10 +169,10 @@ def test_enumerate_rejects_bad_input(star, c5):
 
 def test_naive_equals_pruned_small():
     for n in (3, 4, 5):
-        for e1 in generate_loops(n):
-            for e2 in generate_loops(n):
-                naive = [f.mapping for f in naive_half_isos(e1.loop, e2.loop)]
-                pruned = [f.mapping for f in all_half_isos(e1.loop, e2.loop)]
+        for L1 in generate_loops(n):
+            for L2 in generate_loops(n):
+                naive = [f.mapping for f in naive_half_isos(L1, L2)]
+                pruned = [f.mapping for f in all_half_isos(L1, L2)]
                 assert naive == pruned, (e1.name, e2.name)
 
 
@@ -181,8 +181,8 @@ def test_engine_matches_oracle_where_rows_mix_both_orders(catalog6):
     # orders prune the search, and a half-isomorphism can send the products
     # of one row to both f(x)f(y) and f(y)f(x).
     loops = [
-        e.loop for e in catalog6
-        if not is_commutative(e.loop) and not is_power_associative(e.loop)
+        L for L in catalog6
+        if not is_commutative(L) and not is_power_associative(L)
     ]
     mixed = 0
     for Q in loops:
@@ -520,7 +520,7 @@ def survey_maps(star, dot, catalog6, witness_loops):
     the order-6 pairs whose rows mix both branches, dihedral-like pairs, and
     on each witness loop a seeded bijection, that bijection as an isomorphism
     onto the relabeled loop, and the identity onto the opposite loop."""
-    loops = [e.loop for n in range(1, 6) for e in generate_loops(n)]
+    loops = [L for n in range(1, 6) for L in generate_loops(n)]
     maps = [
         HalfIso(Q, R, p)
         for Q in loops
@@ -531,8 +531,8 @@ def survey_maps(star, dot, catalog6, witness_loops):
     maps += [f for Q in loops for R in loops if Q.order == R.order for f in all_half_isos(Q, R)]
     maps += [f for Q in (star, dot) for R in (star, dot) for f in all_half_isos(Q, R)]
     mixing = [
-        e.loop for e in catalog6
-        if not is_commutative(e.loop) and not is_power_associative(e.loop)
+        L for L in catalog6
+        if not is_commutative(L) and not is_power_associative(L)
     ]
     maps += [f for Q in mixing for R in mixing for f in all_half_isos(Q, R)]
     for m, alpha, beta in ((3, 2, 2), (5, 2, 3), (8, 3, 5)):
@@ -657,12 +657,12 @@ def test_audit_odd_order_automorphic(c5):
 def test_automorphic_loops_are_power_associative(catalog6):
     # the audit runs its power and conjugation checks unguarded: both need
     # power-associative loops, where every element has a two-sided inverse
-    entries = [e for n in range(1, 6) for e in generate_loops(n)] + catalog6
-    automorphic = [e for e in entries + list(builtin_loops()) if e.automorphic]
+    loops = [L for n in range(1, 6) for L in generate_loops(n)] + catalog6
+    automorphic = [L for L in loops + list(builtin_loops()) if is_automorphic(L)]
     assert len(automorphic) == 26
-    for e in automorphic:
-        assert e.power_associative
-        assert all(e.loop.has_two_sided_inverse(a) for a in e.loop.elements)
+    for L in automorphic:
+        assert is_power_associative(L)
+        assert all(L.has_two_sided_inverse(a) for a in L.elements)
 
 
 def test_scan_groups_only(c5, c7):

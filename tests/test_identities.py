@@ -40,8 +40,13 @@ from loopcheck.identities import (
 )
 from loopcheck import identities
 from loopcheck.catalog import builtin_loop, generate_loops
-from loopcheck.perms import compose, invert
-from loopcheck.table import NotAutomorphicWarning, cyclic_group, make_loop
+from loopcheck.perms import compose, invert, is_automorphic
+from loopcheck.table import (
+    NotAutomorphicWarning,
+    cyclic_group,
+    is_power_associative,
+    make_loop,
+)
 
 
 def test_parse_aaip():
@@ -58,6 +63,14 @@ def test_parse_quasi_identity():
     stmt = parse_identity("x*(x*y) = (y*x)*x => x*y = y*x")
     assert len(stmt.hypotheses) == 1
     assert len(stmt.conclusion) == 1
+
+
+def test_variables_in_order_of_first_appearance():
+    # The hypothesis is read first, a macro-call argument counts where it is
+    # written (the body puts w before x), and a repeated name counts once.
+    macros = {"sw": parse_macro("let sw(u, v) := v * u")}
+    stmt = parse_identity("z * y = y * z => sw(x, w) = z * x | sw(z, z) = 1", macros)
+    assert stmt.variables == ("z", "y", "x", "w")
 
 
 def test_parse_precedence_and_associativity():
@@ -268,38 +281,38 @@ def test_builtins_hold_on_automorphic_groups(c5, c7, s3):
 
 def test_cor32_holds_on_automorphic_catalog(catalog6):
     lib = {s.name: s for s in builtin_library()}
-    for entry in catalog6:
-        if not entry.automorphic:
+    for L in catalog6:
+        if not is_automorphic(L):
             continue
         for name in ("cor32_a", "cor32_b"):
-            assert holds(entry.loop, lib[name], automorphic=True), (entry.name, name)
+            assert holds(L, lib[name], automorphic=True), (L.name, name)
 
 
 def test_co1_statement_matches_structure_predicate(catalog6):
     from loopcheck.structure import satisfies_co1
 
     lib = {s.name: s for s in builtin_library()}
-    for entry in catalog6:
-        if not entry.power_associative:
+    for L in catalog6:
+        if not is_power_associative(L):
             continue  # the quasi-identity needs no inverses, but stay on PA turf
-        both = (holds(entry.loop, lib["co1_fwd"], automorphic=True)
-                and holds(entry.loop, lib["co1_bwd"], automorphic=True))
-        assert both == satisfies_co1(entry.loop), entry.name
+        both = (holds(L, lib["co1_fwd"], automorphic=True)
+                and holds(L, lib["co1_bwd"], automorphic=True))
+        assert both == satisfies_co1(L), L.name
 
 
 def test_lemma31_a_fails_off_hypothesis(catalog5):
     # the first displayed squaring identity needs the automorphic hypothesis
     lib = {s.name: s for s in builtin_library()}
     outcomes = {}
-    for entry in catalog5:
-        if entry.automorphic:
+    for L in catalog5:
+        if is_automorphic(L):
             continue
         try:
-            cx = evaluate(entry.loop, lib["lemma31_a"], automorphic=True)
+            cx = evaluate(L, lib["lemma31_a"], automorphic=True)
         except InverseUnavailable:
-            outcomes[entry.name] = "no-inverse"
+            outcomes[L.name] = "no-inverse"
             continue
-        outcomes[entry.name] = dict(cx.assignment) if cx else "holds"
+        outcomes[L.name] = dict(cx.assignment) if cx else "holds"
     assert outcomes == {
         "n5_001": {"x": 1, "y": 2},
         "n5_002": {"x": 1, "y": 2},
@@ -365,8 +378,8 @@ ORACLE_TEXTS = (
 
 
 def test_compiled_evaluate_matches_tree_walker(catalog5, star, dot, s3):
-    loops = [e.loop for n in range(1, 5) for e in generate_loops(n)]
-    loops += [e.loop for e in catalog5] + [star, dot, s3]
+    loops = [L for n in range(1, 5) for L in generate_loops(n)]
+    loops += [*catalog5, star, dot, s3]
     macros = builtin_macros()
     oracle = [parse_identity(t, macros) for t in ORACLE_TEXTS]
     statements = list(builtin_library()) + oracle
@@ -493,8 +506,8 @@ def test_identity_outcomes_digest():
     # Every builtin on the 51 smallest catalog loops, each outcome as its
     # repr or the element without an inverse; the digest was taken from the
     # evaluator before blocks were kept per loop.
-    loops = [e.loop for n in range(1, 6) for e in generate_loops(n)]
-    loops += [e.loop for e in generate_loops(6)[:40]]
+    loops = [L for n in range(1, 6) for L in generate_loops(n)]
+    loops += generate_loops(6)[:40]
     outcomes = []
     for L in loops:
         for stmt in builtin_library():

@@ -57,7 +57,7 @@ def relabeled(L, seed):
 
 
 def small_loops(max_order):
-    return [e.loop for n in range(1, max_order + 1) for e in generate_loops(n)]
+    return [L for n in range(1, max_order + 1) for L in generate_loops(n)]
 
 
 @given(perms7, perms7, st.integers(min_value=0, max_value=6))
@@ -313,7 +313,7 @@ def test_mlt_size_divisible_by_order(star, dot, s3):
 
 def test_mlt_is_order_times_inn():
     # Mlt is transitive and Inn is the stabilizer of the identity
-    for L in small_loops(6) + [e.loop for e in builtin_loops()]:
+    for L in small_loops(6) + list(builtin_loops()):
         assert mlt_group(L).order == L.order * inn_group(L).order, L.name
 
 
@@ -335,8 +335,8 @@ def test_is_automorphic(star, dot, s3, c5):
 def test_automorphic_violation_is_first_failing_generator(s3, oracle_loops):
     # the check visits each distinct inner mapping once; scanning every
     # labelled generator must find the same first failure
-    loops = [e.loop for n in range(1, 7) for e in generate_loops(n)]
-    loops += [e.loop for e in builtin_loops()] + [s3] + oracle_loops
+    loops = [L for n in range(1, 7) for L in generate_loops(n)]
+    loops += [*builtin_loops(), s3, *oracle_loops]
     outcomes = set()
     for L in loops:
         want = next(
@@ -358,7 +358,7 @@ def test_automorphism_group_sizes(star, dot, s3):
 
 
 def test_automorphism_group_matches_enumeration(s3):
-    loops = small_loops(6) + [e.loop for e in builtin_loops()] + [s3]
+    loops = small_loops(6) + [*builtin_loops(), s3]
     loops += [
         relabeled(builtin_loop(name), seed)
         for seed, name in enumerate(("c2xc2xc4", "c4xc4", "c2xc8", "c2xc2xc2xc2"))
@@ -440,7 +440,7 @@ def test_isomorphisms_onto_the_opposite_loop(catalog6):
     # that is not one can still match the products f(y)f(x) in the other
     # order, which only half-isomorphisms allow.
     found = 0
-    for L in [e.loop for e in catalog6 if not is_commutative(e.loop)]:
+    for L in [M for M in catalog6 if not is_commutative(M)]:
         M = opposite(L)
         want = [f.mapping for f in naive_half_isos(L, M) if classify(f).is_isomorphism]
         assert list(isomorphisms(L, M)) == want, L.name
@@ -576,9 +576,8 @@ def test_inn_of_group_is_conjugation_closure(s3):
 def test_invariants_on_nonassociative_automorphic(catalog6):
     # the smallest non-associative automorphic loop keeps the translation
     # laws that groups enjoy
-    entry = next(e for e in catalog6
-                 if e.automorphic and not is_associative_entry(e))
-    L = entry.loop
+    L = next(M for M in catalog6
+             if is_automorphic(M) and not is_associative_loop(M))
     assert is_automorphic(L)
     span = range(-L.order, L.order + 1)
     for x in L.elements:
@@ -600,7 +599,7 @@ def test_invariants_on_nonassociative_automorphic(catalog6):
                 assert L.power(a, m + k) == L.mul(L.power(a, m), L.power(a, k))
 
 
-def is_associative_entry(entry):
+def is_associative_loop(L):
     from loopcheck.table import is_associative
 
-    return is_associative(entry.loop)
+    return is_associative(L)

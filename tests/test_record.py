@@ -191,7 +191,6 @@ def test_frozen_fields_refuse_assignment_and_deletion():
         halfiso.HalfIso(c3, c3, (0, 1, 2)),
         perms.StabilizerChain(3, (), (), ()),
         structure.SubloopClosure(frozenset({0}), frozenset({0})),
-        catalog.make_entry("c3", c3),
     ]
     for obj in frozen:
         name = obj._record_fields[0]

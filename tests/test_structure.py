@@ -12,7 +12,7 @@ from loopcheck.structure import (
     subloop_generated,
     theorem31_violation,
 )
-from loopcheck.perms import compose, invert
+from loopcheck.perms import compose, invert, is_automorphic
 from loopcheck.table import cyclic_group, is_commutative
 
 from conftest import assert_matches_oracle
@@ -61,10 +61,9 @@ def test_commutant(star, dot):
 def test_commutant_is_subloop_on_automorphic(s3, catalog6):
     from loopcheck.structure import subloop_generated
 
-    for entry in catalog6:
-        if not entry.automorphic:
+    for L in catalog6:
+        if not is_automorphic(L):
             continue
-        L = entry.loop
         for a in L.elements:
             c = commutant(L, {a})
             assert subloop_generated(L, c).members == c
@@ -87,12 +86,12 @@ def test_co1_co2_agree_on_automorphic(catalog6):
     for n in (1, 2, 3, 4, 5):
         from loopcheck.catalog import generate_loops
 
-        for entry in generate_loops(n):
-            if entry.automorphic:
-                assert satisfies_co1(entry.loop) == satisfies_co2(entry.loop)
-    for entry in catalog6:
-        if entry.automorphic:
-            assert satisfies_co1(entry.loop) == satisfies_co2(entry.loop)
+        for L in generate_loops(n):
+            if is_automorphic(L):
+                assert satisfies_co1(L) == satisfies_co2(L)
+    for L in catalog6:
+        if is_automorphic(L):
+            assert satisfies_co1(L) == satisfies_co2(L)
 
 
 def test_co1_co2_disagree_without_hypothesis(catalog5, catalog6):
@@ -101,24 +100,23 @@ def test_co1_co2_disagree_without_hypothesis(catalog5, catalog6):
     # of all 120 loops of order <= 6 finds exactly 7 disagreeing loops,
     # first at order 5.
     disagree = [
-        e.name
-        for e in (*catalog5, *catalog6)
-        if satisfies_co1(e.loop) != satisfies_co2(e.loop)
+        L.name
+        for L in (*catalog5, *catalog6)
+        if satisfies_co1(L) != satisfies_co2(L)
     ]
     assert disagree == [
         "n5_004", "n6_029", "n6_036", "n6_038", "n6_067", "n6_069", "n6_070"
     ]
     from loopcheck.catalog import generate_loops
 
-    assert all(not e.automorphic
-               for n in (5, 6) for e in generate_loops(n) if e.name in disagree)
+    assert all(not is_automorphic(L)
+               for n in (5, 6) for L in generate_loops(n) if L.name in disagree)
 
 
 def test_co1_closed_under_direct_products(catalog6, c5):
-    from loopcheck.perms import is_automorphic
     from loopcheck.table import direct_product
 
-    co1_loops = [e.loop for e in catalog6 if e.automorphic and e.co1]
+    co1_loops = [L for L in catalog6 if is_automorphic(L) and satisfies_co1(L)]
     assert co1_loops
     for L in co1_loops:
         prod = direct_product(L, c5)
@@ -135,8 +133,8 @@ def test_theorem31_on_groups(star, s3, c5):
 
 def test_theorem31_fails_off_hypothesis(catalog5):
     # all five non-automorphic order-5 loops break the equivalence
-    names = [e.name for e in catalog5
-             if not e.automorphic and theorem31_violation(e.loop) is not None]
+    names = [L.name for L in catalog5
+             if not is_automorphic(L) and theorem31_violation(L) is not None]
     assert names == ["n5_001", "n5_002", "n5_003", "n5_004", "n5_005"]
 
 
@@ -211,10 +209,10 @@ def test_cor21_singletons_power_associative(star):
 
 
 def test_cor21_on_nonassociative_automorphic(catalog6):
-    nonassoc = [e for e in catalog6 if e.automorphic and not e.commutative]
+    nonassoc = [L for L in catalog6 if is_automorphic(L) and not is_commutative(L)]
     assert nonassoc, "expected a non-commutative automorphic loop of order 6"
-    for e in nonassoc:
-        assert check_cor21(e.loop, trials=200)
+    for L in nonassoc:
+        assert check_cor21(L, trials=200)
 
 
 def test_t_squared_fixed_implies_commuting_pair(catalog6, c5, c7):
@@ -222,7 +220,7 @@ def test_t_squared_fixed_implies_commuting_pair(catalog6, c5, c7):
     # whole generated subloop of {x, y} to be commutative
     from loopcheck.perms import compose, invert
 
-    loops = [c5, c7] + [e.loop for e in catalog6 if e.automorphic and e.co1]
+    loops = [c5, c7] + [L for L in catalog6 if is_automorphic(L) and satisfies_co1(L)]
     for L in loops:
         for x in L.elements:
             tx = compose(L.right_translation(x), invert(L.left_translation(x)))
@@ -235,7 +233,7 @@ def test_t_squared_fixed_implies_commuting_pair(catalog6, c5, c7):
 def test_twisted_conjugation_implies_commuting(catalog6, c7):
     # xyx^-1 = x^-1yx (either bracketing) forces <x,y> commutative on
     # automorphic loops satisfying co1
-    loops = [c7] + [e.loop for e in catalog6 if e.automorphic and e.co1]
+    loops = [c7] + [L for L in catalog6 if is_automorphic(L) and satisfies_co1(L)]
     for L in loops:
         for x in L.elements:
             xi = L.inverse(x)
@@ -250,8 +248,7 @@ def test_closure_checks_hold_on_small_catalog():
     from loopcheck.perms import inn_group
 
     for n in range(1, 6):
-        for entry in generate_loops(n):
-            L = entry.loop
+        for L in generate_loops(n):
             inn = inn_group(L)
             assert all(p[L.identity] == L.identity for p in inn.generators)
             assert not any(L.identity in orbit for orbit in inn.orbits)

@@ -209,7 +209,7 @@ def _power_or_missing(L, a, k):
 def test_power_tables_match_power(dot):
     # Fresh copies ask for the exponents in three orders, so each table is
     # built from whichever neighbours happen to be cached.
-    for L in [e.loop for n in range(1, 6) for e in generate_loops(n)] + [dot]:
+    for L in [L for n in range(1, 6) for L in generate_loops(n)] + [dot]:
         n = L.order
         ks = list(range(-n, n + 1))
         for order in (ks, ks[::-1], ks[n::2] + ks[::-2]):
